@@ -35,8 +35,9 @@
 //! assert!(outcome.stats.partitions_probed <= outcome.stats.partitions_total);
 //! ```
 
+use crate::engine::Ranked;
 use crate::ensemble::{EnsembleConfig, LshEnsemble, PartitionStats};
-use crate::ranked::{merge_unique, skew_exceeds, RankedIndex};
+use crate::ranked::{skew_exceeds, RankedIndex};
 use crate::sharded::ShardedEnsemble;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
@@ -536,32 +537,6 @@ pub(crate) fn outcome_from_ids_timed(
     outcome_from_hits_timed(hits, probe, nanos)
 }
 
-/// The shared top-k strategy: descend through containment thresholds
-/// (1.0, 0.9, …, 0.0), querying the backend via `query_at`, until at
-/// least `k` distinct candidates accumulate. Probe counters follow the
-/// top-k convention — candidates sum across passes, partitions probed is
-/// the per-pass maximum (so it stays ≤ total).
-pub(crate) fn top_k_descend(
-    k: usize,
-    mut query_at: impl FnMut(f64) -> (Vec<DomainId>, ProbeCounts),
-) -> (Vec<DomainId>, ProbeCounts) {
-    let mut seen: Vec<DomainId> = Vec::new();
-    let mut probe = ProbeCounts::default();
-    for step in (0..=10u32).rev() {
-        let t = f64::from(step) / 10.0;
-        let (cands, p) = query_at(t);
-        probe.probed = probe.probed.max(p.probed);
-        probe.total = p.total;
-        probe.candidates += p.candidates;
-        // per-pass results are sorted; merge-dedup against `seen`.
-        seen = merge_unique(&seen, &cands);
-        if seen.len() >= k || step == 0 {
-            break;
-        }
-    }
-    (seen, probe)
-}
-
 /// One query surface over every index in the workspace.
 ///
 /// The trait is object safe (`Box<dyn DomainIndex>` is how the server,
@@ -1037,88 +1012,22 @@ impl MutableIndex for ShardedRanked {
 }
 
 impl ShardedRanked {
-    /// Attaches estimates from the retained sketches, prunes below
-    /// `t_star − ESTIMATE_SLACK`, sorts by estimate descending.
-    fn rank_and_prune(
-        &self,
-        ids: Vec<DomainId>,
-        signature: &Signature,
-        q: u64,
-        t_star: f64,
-    ) -> Vec<SearchHit> {
-        let mut hits: Vec<SearchHit> = self
-            .ranked
-            .rank_candidates(ids, signature, q)
-            .into_iter()
-            .filter(|h| h.estimated_containment >= t_star - ESTIMATE_SLACK)
-            .map(|h| SearchHit {
-                id: h.id,
-                estimate: Some(h.estimated_containment),
-            })
-            .collect();
-        // rank_candidates already sorts descending; keep as-is.
-        hits.shrink_to_fit();
-        hits
-    }
-
-    /// The shared top-k descent, fanned out across the shards per pass —
-    /// one code path for [`search`](DomainIndex::search) and
-    /// [`search_batch`](DomainIndex::search_batch) so they can never
-    /// drift.
-    fn top_k_outcome(&self, query: &Query<'_>, k: usize) -> SearchOutcome {
-        let started = Instant::now();
-        let q = query.effective_size();
-        let (seen, probe) =
-            top_k_descend(k, |t| self.shards.query_counted(query.signature(), q, t));
-        let mut hits: Vec<SearchHit> = self
-            .ranked
-            .rank_candidates(seen, query.signature(), q)
-            .into_iter()
-            .map(|h| SearchHit {
-                id: h.id,
-                estimate: Some(h.estimated_containment),
-            })
-            .collect();
-        hits.truncate(k);
-        outcome_from_hits(hits, probe, started)
+    /// The query engine over the shards, ranked from the shared sketches.
+    fn engine(&self) -> Ranked<'_, &ShardedEnsemble> {
+        Ranked {
+            candidates: &self.shards,
+            sketches: self.ranked.sketch_source(),
+        }
     }
 }
 
 impl DomainIndex for ShardedRanked {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.ranked.ensemble().config().num_perm)?;
-        let started = Instant::now();
-        let q = query.effective_size();
-        match query.mode() {
-            QueryMode::Threshold(t_star) => {
-                let (ids, probe) = self.shards.query_counted(query.signature(), q, t_star);
-                let hits = self.rank_and_prune(ids, query.signature(), q, t_star);
-                Ok(outcome_from_hits(hits, probe, started))
-            }
-            QueryMode::TopK(k) => Ok(self.top_k_outcome(query, k)),
-        }
+        self.engine().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.ranked.ensemble().config().num_perm,
-            |items| {
-                // One shard fan-out for the whole batch, then per-query
-                // ranking from the shared sketches.
-                items
-                    .iter()
-                    .zip(self.shards.batch_query_counted(items))
-                    .map(|(item, (ids, probe, mut nanos))| {
-                        let started = Instant::now();
-                        let hits = self.rank_and_prune(ids, item.signature, item.size, item.t_star);
-                        nanos += started.elapsed().as_nanos() as u64;
-                        crate::api::outcome_from_hits_timed(hits, probe, nanos)
-                    })
-                    .collect()
-            },
-            |query, k| Ok(self.top_k_outcome(query, k)),
-        )
+        self.engine().search_batch(queries)
     }
 
     fn len(&self) -> usize {

@@ -17,12 +17,12 @@
 use crate::api::{
     outcome_from_ids, DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchOutcome,
 };
+use crate::engine::{Candidates, Live, Sweep, Trees, Unit};
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
 use crate::partition::{PartitionStrategy, Partitioning};
 use crate::tuning::Tuner;
 use lshe_asym::{pad_signature, PaddingSampler};
 use lshe_lsh::{DomainId, LshForest};
-use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
 /// Builds the paper's MinHash LSH baseline: a single-partition ensemble.
@@ -323,6 +323,25 @@ impl AsymPartitionedIndex {
         self.len == 0
     }
 
+    /// The query plan over the padded partitions. The index is
+    /// immutable, so every row is live.
+    fn sweep(&self) -> Sweep<'_> {
+        let units = self
+            .partitions
+            .iter()
+            .map(|p| Unit {
+                upper: p.upper,
+                trees: Trees::Heap(&p.forest),
+            })
+            .collect();
+        Sweep {
+            units,
+            live: Live::All,
+            tuner: &self.tuner,
+            num_perm: self.num_perm,
+        }
+    }
+
     /// Containment query across all partitions (padding-aware conversion
     /// with each partition's upper bound).
     ///
@@ -335,51 +354,7 @@ impl AsymPartitionedIndex {
         query_size: u64,
         t_star: f64,
     ) -> Vec<DomainId> {
-        assert!(query_size > 0, "query size must be positive");
-        assert!((0.0..=1.0).contains(&t_star), "threshold must be in [0, 1]");
-        assert_eq!(signature.len(), self.num_perm, "signature width mismatch");
-        self.query_counted(signature, query_size, t_star).0
-    }
-
-    /// Instrumented query: sorted-unique ids plus probe counters.
-    fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        let mut probe = ProbeCounts {
-            probed: 0,
-            total: self.partitions.len(),
-            candidates: 0,
-        };
-        let mut set = FastHashSet::default();
-        let mut buf = Vec::new();
-        for p in &self.partitions {
-            if (p.upper as f64) < t_star * query_size as f64 {
-                continue;
-            }
-            let params = self.tuner.optimize(p.upper, query_size, t_star);
-            buf.clear();
-            self.forest_query(p, signature, params.b as usize, params.r as usize, &mut buf);
-            probe.probed += 1;
-            probe.candidates += buf.len();
-            set.extend(buf.iter().copied());
-        }
-        let mut v: Vec<DomainId> = set.into_iter().collect();
-        v.sort_unstable();
-        (v, probe)
-    }
-
-    fn forest_query(
-        &self,
-        p: &AsymPartition,
-        sig: &Signature,
-        b: usize,
-        r: usize,
-        out: &mut Vec<DomainId>,
-    ) {
-        p.forest.query_into(sig, b, r, out);
+        self.sweep().query(signature, query_size, t_star, false).0
     }
 }
 
@@ -392,7 +367,10 @@ impl DomainIndex for AsymPartitionedIndex {
             ));
         };
         let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
+        let q = query.effective_size();
+        let (ids, probe) = self
+            .sweep()
+            .query(query.signature(), q, t_star, query.parallel());
         Ok(outcome_from_ids(ids, probe, started))
     }
 

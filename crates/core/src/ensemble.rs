@@ -9,13 +9,14 @@
 //! candidate sets are unioned (`Partitioned-Containment-Search`, §5.1).
 
 use crate::api::{
-    outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query,
-    QueryError, QueryMode, SearchOutcome,
+    outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError,
+    QueryMode, SearchOutcome,
 };
+use crate::engine::{Candidates, Live, Sweep, Trees, Unit};
 use crate::partition::PartitionStrategy;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
-use lshe_minhash::hash::{FastHashMap, FastHashSet};
+use lshe_minhash::hash::FastHashMap;
 use lshe_minhash::{MinHasher, Signature};
 
 /// Configuration of an [`LshEnsemble`].
@@ -134,9 +135,28 @@ pub(crate) struct EnsemblePartition {
     pub(crate) forest: LshForest,
 }
 
+impl EnsemblePartition {
+    /// This partition as a query-engine unit.
+    pub(crate) fn unit(&self) -> Unit<'_> {
+        Unit {
+            upper: self.upper,
+            trees: Trees::Heap(&self.forest),
+        }
+    }
+}
+
+/// Every partition of every sealed segment, oldest segment first, as
+/// query-engine units.
+pub(crate) fn segment_units(segments: &[SealedSegment]) -> impl Iterator<Item = Unit<'_>> {
+    segments
+        .iter()
+        .flat_map(|s| &s.partitions)
+        .map(EnsemblePartition::unit)
+}
+
 /// Where a live domain id currently resides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
+pub(crate) enum Slot {
     /// Base partition `idx`.
     Base(u32),
     /// Sealed segment `idx` (partition within is found by size).
@@ -508,27 +528,28 @@ impl LshEnsemble {
         base + segs + self.staged.part.forest.memory_bytes() + entry_bytes(&self.staged.entries)
     }
 
-    /// Every sweepable query unit, in stats order: base partitions, each
-    /// sealed segment's partitions, then the staged pseudo-partition when
-    /// inserts are staged.
-    fn sweep_units(&self) -> Vec<&EnsemblePartition> {
-        let mut units: Vec<&EnsemblePartition> = Vec::with_capacity(
-            self.partitions.len()
-                + self
-                    .segments
-                    .iter()
-                    .map(|s| s.partitions.len())
-                    .sum::<usize>()
-                + 1,
-        );
-        units.extend(self.partitions.iter());
-        for seg in &self.segments {
-            units.extend(seg.partitions.iter());
+    /// The query plan: every sweepable unit in stats order — base
+    /// partitions, each sealed segment's partitions, then the staged
+    /// pseudo-partition when inserts are staged.
+    pub(crate) fn sweep(&self) -> Sweep<'_> {
+        let staged = (!self.staged.entries.is_empty()).then(|| self.staged.part.unit());
+        let units = self
+            .partitions
+            .iter()
+            .map(EnsemblePartition::unit)
+            .chain(segment_units(&self.segments))
+            .chain(staged)
+            .collect();
+        Sweep {
+            units,
+            live: if self.dead.is_empty() {
+                Live::All
+            } else {
+                Live::IdMap(&self.ids)
+            },
+            tuner: &self.tuner,
+            num_perm: self.config.num_perm,
         }
-        if !self.staged.entries.is_empty() {
-            units.push(&self.staged.part);
-        }
-        units
     }
 
     /// Containment search (Algorithm 1 + `Partitioned-Containment-Search`):
@@ -556,7 +577,7 @@ impl LshEnsemble {
         query_size: u64,
         t_star: f64,
     ) -> Vec<DomainId> {
-        self.query_counted(signature, query_size, t_star, false).0
+        self.sweep().query(signature, query_size, t_star, false).0
     }
 
     /// Containment search with partitions probed across budget-governed
@@ -574,201 +595,7 @@ impl LshEnsemble {
         query_size: u64,
         t_star: f64,
     ) -> Vec<DomainId> {
-        self.query_counted(signature, query_size, t_star, true).0
-    }
-
-    /// Instrumented containment search: the sorted-unique candidate ids
-    /// plus probe counters (partitions consulted, raw candidates before
-    /// dedup). Every public query path funnels through here.
-    pub(crate) fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        parallel: bool,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        self.check_query(signature, query_size, t_star);
-        let units = self.sweep_units();
-        let mut probe = ProbeCounts {
-            probed: 0,
-            total: units.len(),
-            candidates: 0,
-        };
-        let mut out = FastHashSet::default();
-        if parallel {
-            // Sweep units are chunked across lanes drawn from the
-            // process-wide budget (`lshe_minhash::lanes`), not one thread
-            // per partition: on a single-core or saturated host the budget
-            // yields zero extras and the probe runs inline, identical to
-            // the sequential path — fan-out cost is only ever paid when
-            // there are cores to absorb it.
-            let buffers: Vec<(Vec<DomainId>, bool)> =
-                lshe_minhash::lanes::run_chunked(&units, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|&p| {
-                            let mut buf = Vec::new();
-                            let probed =
-                                self.query_partition(p, signature, query_size, t_star, &mut buf);
-                            (buf, probed)
-                        })
-                        .collect()
-                });
-            for (buf, probed) in buffers {
-                probe.probed += usize::from(probed);
-                probe.candidates += buf.len();
-                out.extend(buf);
-            }
-        } else {
-            let mut buf = Vec::new();
-            for &p in &units {
-                let before = buf.len();
-                let probed = self.query_partition(p, signature, query_size, t_star, &mut buf);
-                probe.probed += usize::from(probed);
-                probe.candidates += buf.len() - before;
-            }
-            out.extend(buf);
-        }
-        let mut v: Vec<DomainId> = out.into_iter().collect();
-        v.sort_unstable();
-        (v, probe)
-    }
-
-    fn check_query(&self, signature: &Signature, query_size: u64, t_star: f64) {
-        assert!(query_size > 0, "query size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&t_star),
-            "containment threshold must be in [0, 1]"
-        );
-        assert_eq!(
-            signature.len(),
-            self.config.num_perm,
-            "signature width mismatch"
-        );
-    }
-
-    /// Queries one partition into `out`; returns whether the partition was
-    /// actually consulted (false = skip-pruned). Tombstoned ids — rows
-    /// physically present but removed — are filtered out of the appended
-    /// candidates.
-    fn query_partition(
-        &self,
-        p: &EnsemblePartition,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        out: &mut Vec<DomainId>,
-    ) -> bool {
-        // A domain's containment cannot exceed x/q ≤ upper/q: partitions
-        // that cannot reach the threshold are skipped outright.
-        if (p.upper as f64) < t_star * query_size as f64 {
-            return false;
-        }
-        let params = self.tuner.optimize(p.upper, query_size, t_star);
-        let before = out.len();
-        p.forest
-            .query_into(signature, params.b as usize, params.r as usize, out);
-        if !self.dead.is_empty() {
-            // Live ids are exactly the id-map keys; a candidate absent
-            // from it is a tombstoned row awaiting compaction.
-            let mut w = before;
-            for i in before..out.len() {
-                if self.ids.contains_key(&out[i]) {
-                    out[w] = out[i];
-                    w += 1;
-                }
-            }
-            out.truncate(w);
-        }
-        true
-    }
-
-    /// Queries swept together per partition-outer pass: large enough to
-    /// amortize partition/forest locality, small enough to bound the raw
-    /// candidate memory held at once (see
-    /// [`batch_sweep_chunk`](Self::batch_sweep_chunk)).
-    pub(crate) const SWEEP_GROUP: usize = 32;
-
-    /// Batched instrumented containment search, partition-outer: the
-    /// partition loop runs once per group of queries, every query probes
-    /// a partition while its forest is hot, and one dedup scratch set
-    /// serves the whole chunk. Per query the answer is identical to
-    /// [`query_counted`](Self::query_counted) — same sorted-unique ids,
-    /// same probe counters — only the wall attribution differs.
-    ///
-    /// The chunk is swept in groups of [`Self::SWEEP_GROUP`] queries so
-    /// peak memory holds at most one group's *raw* (pre-dedup) candidate
-    /// unions, never the whole batch's — a low-threshold query can make
-    /// every partition contribute near the full corpus, and thousands of
-    /// such accumulators at once would be an OOM vector on the server.
-    ///
-    /// `post` runs inside the worker lane right after a query's dedup, so
-    /// per-query post-processing (ranking, outcome assembly) shares the
-    /// batch's thread fan-out instead of re-spawning.
-    pub(crate) fn batch_sweep_chunk<R>(
-        &self,
-        chunk: &[crate::batch::ThresholdItem<'_>],
-        post: &(impl Fn(&crate::batch::ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync),
-    ) -> Vec<R> {
-        use std::time::Instant;
-        let units = self.sweep_units();
-        let mut buf: Vec<DomainId> = Vec::new();
-        let mut set: FastHashSet<DomainId> = FastHashSet::default();
-        let mut results = Vec::with_capacity(chunk.len());
-        for group in chunk.chunks(Self::SWEEP_GROUP) {
-            // Per-query accumulators: raw candidates, probes, nanos.
-            let mut acc: Vec<(Vec<DomainId>, ProbeCounts, u64)> = group
-                .iter()
-                .map(|_| {
-                    (
-                        Vec::new(),
-                        ProbeCounts {
-                            probed: 0,
-                            total: units.len(),
-                            candidates: 0,
-                        },
-                        0u64,
-                    )
-                })
-                .collect();
-            for &p in &units {
-                for (item, out) in group.iter().zip(acc.iter_mut()) {
-                    let started = Instant::now();
-                    buf.clear();
-                    let probed =
-                        self.query_partition(p, item.signature, item.size, item.t_star, &mut buf);
-                    out.1.probed += usize::from(probed);
-                    out.1.candidates += buf.len();
-                    out.0.extend_from_slice(&buf);
-                    out.2 += started.elapsed().as_nanos() as u64;
-                }
-            }
-            // Dedup + sort each query's union through the reused scratch.
-            results.extend(
-                group
-                    .iter()
-                    .zip(acc)
-                    .map(|(item, (mut raw, probe, mut nanos))| {
-                        let started = Instant::now();
-                        set.extend(raw.drain(..));
-                        raw.extend(set.drain());
-                        raw.sort_unstable();
-                        nanos += started.elapsed().as_nanos() as u64;
-                        post(item, raw, probe, nanos)
-                    }),
-            );
-        }
-        results
-    }
-
-    /// [`batch_sweep_chunk`](Self::batch_sweep_chunk) fanned across worker
-    /// lanes — the lanes are spawned once for the whole batch.
-    pub(crate) fn batch_threshold_map<R: Send>(
-        &self,
-        items: &[crate::batch::ThresholdItem<'_>],
-        post: impl Fn(&crate::batch::ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
-    ) -> Vec<R> {
-        crate::batch::chunked(items, |chunk| self.batch_sweep_chunk(chunk, &post))
+        self.sweep().query(signature, query_size, t_star, true).0
     }
 
     /// Inserts a new domain after construction (§6.2 dynamic data): the
@@ -1215,7 +1042,7 @@ impl DomainIndex for LshEnsemble {
             ));
         };
         let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(
+        let (ids, probe) = self.sweep().query(
             query.signature(),
             query.effective_size(),
             t_star,
@@ -1229,7 +1056,7 @@ impl DomainIndex for LshEnsemble {
             queries,
             self.config.num_perm,
             |items| {
-                self.batch_threshold_map(items, |_, ids, probe, nanos| {
+                self.sweep().batch_map(items, |_, ids, probe, nanos| {
                     crate::api::outcome_from_ids_timed(ids, probe, nanos)
                 })
             },
@@ -1251,15 +1078,7 @@ impl DomainIndex for LshEnsemble {
     }
 
     fn describe(&self) -> String {
-        match self.config.strategy {
-            PartitionStrategy::Single => "MinHash LSH (baseline)".to_owned(),
-            PartitionStrategy::EquiDepth { n } => format!("LSH Ensemble ({n})"),
-            PartitionStrategy::EquiWidth { n } => format!("LSH Ensemble equi-width ({n})"),
-            PartitionStrategy::Morph { n, lambda } => {
-                format!("LSH Ensemble morph ({n}, λ={lambda:.2})")
-            }
-            PartitionStrategy::EquiFp { n } => format!("LSH Ensemble equi-FP ({n})"),
-        }
+        self.config.strategy.label()
     }
 }
 

@@ -67,6 +67,7 @@ pub mod baselines;
 pub mod batch;
 pub mod convert;
 pub mod cost;
+mod engine;
 pub mod ensemble;
 pub mod maintenance;
 pub mod mmap;

@@ -3,32 +3,27 @@
 //! [`pack_ranked`] streams a committed [`RankedIndex`] into an
 //! `lshe-store` v2 container — partition bounds, forest tree columns, and
 //! the retained sketches, each in its own checksummed 64-byte-aligned
-//! section. [`MmapIndex`] opens such a file and answers
+//! section. [`MmapIndex`] opens such a file, validates it, and answers
 //! [`search`](crate::DomainIndex::search)/
-//! [`search_batch`](crate::DomainIndex::search_batch) *in place*: the
-//! partition skip-prune, per-query `(b, r)` tuning, prefix-tree probing,
-//! and containment ranking all run against borrowed mapped memory, so
-//! opening a multi-gigabyte corpus costs milliseconds and no decode-time
-//! heap.
+//! [`search_batch`](crate::DomainIndex::search_batch) from borrowed mapped
+//! memory, so opening a multi-gigabyte corpus costs milliseconds and no
+//! decode-time heap.
 //!
-//! The backend replicates the heap path bit for bit — same candidate
-//! sets, same probe counters, same estimates, same ordering — which the
-//! conformance suite pins by running it side by side with `RankedIndex`
-//! over identical corpora.
+//! This module is storage only. Queries run through the same engine as
+//! the heap index (`crate::engine`): the mapped backend supplies its
+//! packed partitions' prefix trees, a liveness check against the sketch
+//! ids, and the sketch columns for ranking, and the engine does the
+//! partition sweep, ranking and top-k. The conformance suite runs both
+//! backends side by side over identical corpora and checks that the
+//! answers, estimates and probe counters are equal.
 
-use crate::api::{
-    outcome_from_hits, outcome_from_hits_timed, DomainIndex, ProbeCounts, Query, QueryError,
-    QueryMode, SearchHit, SearchOutcome, ESTIMATE_SLACK,
-};
-use crate::ensemble::EnsembleConfig;
-use crate::partition::PartitionStrategy;
-use crate::ranked::{RankedHit, RankedIndex};
+use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
+use crate::engine::{Live, Ranked, Sketches, Sweep, Trees, Unit};
+use crate::ensemble::{segment_units, EnsembleConfig};
+use crate::ranked::RankedIndex;
 use crate::tuning::Tuner;
-use lshe_lsh::forest::truncate_slot;
 use lshe_lsh::DomainId;
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
-use lshe_minhash::hash::FastHashSet;
-use lshe_minhash::{containment_from_jaccard, Signature};
 use lshe_store::{Packer, PartitionView, SectionKind, SketchesView, Store, StoreError};
 use std::path::Path;
 
@@ -220,10 +215,9 @@ struct PartMeta {
 /// A read-only [`DomainIndex`] served directly from a mapped v2 store.
 ///
 /// Holds only metadata on the heap (a few dozen bytes per partition);
-/// every key, id, and sketch slot stays in the mapping. Queries replicate
-/// the [`RankedIndex`] pipeline exactly: partition skip-prune →
-/// per-query tuned `(b, r)` → prefix-tree equal-range probes → hash-set
-/// dedup → containment ranking over the mapped sketches.
+/// every key, id, and sketch slot stays in the mapping. Queries run
+/// through the same engine as [`RankedIndex`], over the packed partitions
+/// followed by the replayed segment partitions.
 #[derive(Debug)]
 pub struct MmapIndex {
     store: Store,
@@ -509,267 +503,52 @@ impl MmapIndex {
         SketchesView::new(ids, sizes, slots, self.config.num_perm).expect("validated at open")
     }
 
-    fn check_query(&self, signature: &Signature, query_size: u64, t_star: f64) {
-        assert!(query_size > 0, "query size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&t_star),
-            "containment threshold must be in [0, 1]"
-        );
-        assert_eq!(
-            signature.len(),
-            self.config.num_perm,
-            "signature width mismatch"
-        );
-    }
-
-    /// Probes one partition into `out`; returns whether it was consulted
-    /// (false = skip-pruned). Mirrors `LshEnsemble::query_partition` +
-    /// `LshForest::query_into` over the mapped columns.
-    #[allow(clippy::too_many_arguments)]
-    fn query_partition(
-        &self,
-        pm: &PartMeta,
-        tree_keys: &[u32],
-        tree_ids: &[u32],
-        prefix: &mut Vec<u32>,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        out: &mut Vec<DomainId>,
-    ) -> bool {
-        if (pm.upper as f64) < t_star * query_size as f64 {
-            return false;
-        }
-        let params = self.tuner.optimize(pm.upper, query_size, t_star);
-        let (b, r) = (params.b as usize, params.r as usize);
-        let (b_max, r_max) = (self.config.b_max, self.config.r_max);
-        let view = PartitionView::new(
-            &tree_keys[pm.key_off..pm.key_off + pm.rows * b_max * r_max],
-            &tree_ids[pm.id_off..pm.id_off + pm.rows * b_max],
-            b_max,
-            r_max,
-            pm.rows,
-        )
-        .expect("validated at open");
-        let slots = signature.slots();
-        for t in 0..b {
-            let start = t * r_max;
-            prefix.clear();
-            prefix.extend(slots[start..start + r].iter().map(|&v| truncate_slot(v)));
-            view.tree(t).probe_into(prefix, out);
-        }
-        true
-    }
-
-    /// Instrumented containment sweep: sorted-unique candidate ids plus
-    /// probe counters, identical to `LshEnsemble::query_counted` over the
-    /// same corpus.
-    fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        self.check_query(signature, query_size, t_star);
+    /// The query engine over the mapping: the packed base partitions,
+    /// then the heap-replayed segment partitions, with liveness and
+    /// ranking both read from the mapped sketch columns.
+    fn engine(&self) -> Ranked<'_, Sweep<'_>> {
         let tree_keys = self.store.u32s(SectionKind::TreeKeys).expect("validated");
         let tree_ids = self.store.u32s(SectionKind::TreeIds).expect("validated");
+        let (b_max, r_max) = (self.config.b_max, self.config.r_max);
         let sketches = self.sketches();
-        let mut probe = ProbeCounts {
-            probed: 0,
-            total: self.parts.len()
-                + self
-                    .segments
-                    .iter()
-                    .map(|s| s.partitions.len())
-                    .sum::<usize>(),
-            candidates: 0,
-        };
-        let mut buf: Vec<DomainId> = Vec::new();
-        let mut prefix: Vec<u32> = Vec::with_capacity(self.config.r_max);
-        for pm in &self.parts {
-            let before = buf.len();
-            let probed = self.query_partition(
-                pm,
-                tree_keys,
-                tree_ids,
-                &mut prefix,
-                signature,
-                query_size,
-                t_star,
-                &mut buf,
-            );
-            if probed {
-                self.filter_tombstoned(&sketches, &mut buf, before);
+        let base = self.parts.iter().map(|pm| {
+            let view = PartitionView::new(
+                &tree_keys[pm.key_off..pm.key_off + pm.rows * b_max * r_max],
+                &tree_ids[pm.id_off..pm.id_off + pm.rows * b_max],
+                b_max,
+                r_max,
+                pm.rows,
+            )
+            .expect("validated at open");
+            Unit {
+                upper: pm.upper,
+                trees: Trees::Mapped(view),
             }
-            probe.probed += usize::from(probed);
-            probe.candidates += buf.len() - before;
-        }
-        // Heap-replayed segment partitions: same skip-prune, tuning, and
-        // probing as the heap index's segment sweep.
-        for seg in &self.segments {
-            for p in &seg.partitions {
-                if (p.upper as f64) < t_star * query_size as f64 {
-                    continue;
-                }
-                let before = buf.len();
-                let params = self.tuner.optimize(p.upper, query_size, t_star);
-                p.forest
-                    .query_into(signature, params.b as usize, params.r as usize, &mut buf);
-                self.filter_tombstoned(&sketches, &mut buf, before);
-                probe.probed += 1;
-                probe.candidates += buf.len() - before;
-            }
-        }
-        let mut set: FastHashSet<DomainId> = FastHashSet::default();
-        set.extend(buf);
-        let mut v: Vec<DomainId> = set.into_iter().collect();
-        v.sort_unstable();
-        (v, probe)
-    }
-
-    /// Drops candidates appended past `from` whose ids are tombstoned.
-    /// A sketch exists exactly for the live ids (the heap index filters on
-    /// its id → slot map; the sketch sections are that map's image), so
-    /// liveness is a mapped binary search. No-op while nothing is dead —
-    /// a re-inserted id is live in its new tier even though stale rows for
-    /// it remain in the base, and those rows must NOT be dropped.
-    fn filter_tombstoned(&self, sketches: &SketchesView<'_>, buf: &mut Vec<DomainId>, from: usize) {
-        if self.dead.is_empty() {
-            return;
-        }
-        let mut w = from;
-        for i in from..buf.len() {
-            if sketches.lookup(buf[i]).is_some() {
-                buf[w] = buf[i];
-                w += 1;
-            }
-        }
-        buf.truncate(w);
-    }
-
-    /// Ranks candidates by estimated containment against the mapped
-    /// sketches — same estimator, ordering, and tie-break as
-    /// `RankedIndex::rank`.
-    ///
-    /// # Panics
-    /// Panics if a candidate id has no sketch (impossible in a file that
-    /// passed open-time validation and checksum verification, exactly as
-    /// the heap index panics on an id it never retained).
-    fn rank(
-        &self,
-        sketches: &SketchesView<'_>,
-        candidates: Vec<DomainId>,
-        signature: &Signature,
-        q: u64,
-    ) -> Vec<RankedHit> {
-        let q_slots = signature.slots();
-        let m = self.config.num_perm;
-        let mut hits: Vec<RankedHit> = candidates
-            .into_iter()
-            .map(|id| {
-                let (x, slots) = sketches.lookup(id).expect("candidate id has no sketch");
-                let equal = q_slots.iter().zip(slots).filter(|(a, b)| a == b).count();
-                let s = equal as f64 / m as f64;
-                RankedHit {
-                    id,
-                    estimated_containment: containment_from_jaccard(s, x as f64, q as f64),
-                }
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.estimated_containment
-                .partial_cmp(&a.estimated_containment)
-                .expect("no NaN")
-                .then(a.id.cmp(&b.id))
         });
-        hits
+        let units = base.chain(segment_units(&self.segments)).collect();
+        Ranked {
+            candidates: Sweep {
+                units,
+                live: if self.dead.is_empty() {
+                    Live::All
+                } else {
+                    Live::Sketches(sketches)
+                },
+                tuner: &self.tuner,
+                num_perm: self.config.num_perm,
+            },
+            sketches: Sketches::Mapped(sketches),
+        }
     }
-
-    fn query_ranked_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        let (raw, probe) = self.query_counted(signature, query_size, t_star);
-        let sketches = self.sketches();
-        let mut hits = self.rank(&sketches, raw, signature, query_size);
-        hits.retain(|h| h.estimated_containment >= t_star - ESTIMATE_SLACK);
-        (hits, probe)
-    }
-
-    fn query_top_k_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        k: usize,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        assert!(k > 0, "k must be positive");
-        let (seen, probe) =
-            crate::api::top_k_descend(k, |t| self.query_counted(signature, query_size, t));
-        let sketches = self.sketches();
-        let mut hits = self.rank(&sketches, seen, signature, query_size);
-        hits.truncate(k);
-        (hits, probe)
-    }
-}
-
-fn to_search_hits(hits: Vec<RankedHit>) -> Vec<SearchHit> {
-    hits.into_iter()
-        .map(|h| SearchHit {
-            id: h.id,
-            estimate: Some(h.estimated_containment),
-        })
-        .collect()
 }
 
 impl DomainIndex for MmapIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.config.num_perm)?;
-        let started = std::time::Instant::now();
-        let q = query.effective_size();
-        // The parallel hint is accepted and ignored: partitions are swept
-        // sequentially over the mapping (hint semantics permit this; the
-        // answer is identical either way).
-        let (hits, probe) = match query.mode() {
-            QueryMode::Threshold(t_star) => self.query_ranked_counted(query.signature(), q, t_star),
-            QueryMode::TopK(k) => self.query_top_k_counted(query.signature(), q, k),
-        };
-        Ok(outcome_from_hits(to_search_hits(hits), probe, started))
+        self.engine().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.config.num_perm,
-            |items| {
-                // Fan the batch across worker lanes; each lane runs the
-                // exact single-query pipeline, so batch ≡ looped.
-                crate::batch::chunked(items, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|item| {
-                            let started = std::time::Instant::now();
-                            let (raw, probe) =
-                                self.query_counted(item.signature, item.size, item.t_star);
-                            let sketches = self.sketches();
-                            let mut hits = self.rank(&sketches, raw, item.signature, item.size);
-                            hits.retain(|h| {
-                                h.estimated_containment >= item.t_star - ESTIMATE_SLACK
-                            });
-                            let nanos = started.elapsed().as_nanos() as u64;
-                            outcome_from_hits_timed(to_search_hits(hits), probe, nanos)
-                        })
-                        .collect()
-                })
-            },
-            |query, k| {
-                let started = std::time::Instant::now();
-                let (hits, probe) =
-                    self.query_top_k_counted(query.signature(), query.effective_size(), k);
-                Ok(outcome_from_hits(to_search_hits(hits), probe, started))
-            },
-        )
+        self.engine().search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -783,24 +562,16 @@ impl DomainIndex for MmapIndex {
     }
 
     fn describe(&self) -> String {
-        let base = match self.config.strategy {
-            PartitionStrategy::Single => "MinHash LSH (baseline)".to_owned(),
-            PartitionStrategy::EquiDepth { n } => format!("LSH Ensemble ({n})"),
-            PartitionStrategy::EquiWidth { n } => format!("LSH Ensemble equi-width ({n})"),
-            PartitionStrategy::Morph { n, lambda } => {
-                format!("LSH Ensemble morph ({n}, λ={lambda:.2})")
-            }
-            PartitionStrategy::EquiFp { n } => format!("LSH Ensemble equi-FP ({n})"),
-        };
-        format!("Mmap Ranked {base}")
+        format!("Mmap Ranked {}", self.config.strategy.label())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::QueryStats;
-    use lshe_minhash::MinHasher;
+    use crate::api::{QueryStats, SearchHit};
+    use crate::partition::PartitionStrategy;
+    use lshe_minhash::{MinHasher, Signature};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("lshe_mmap_idx_{name}_{}.v2", std::process::id()))
@@ -925,6 +696,58 @@ mod tests {
         ] {
             assert!(outcome.hits.iter().all(|hit| hit.id != 3 && hit.id != 102));
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reinserted_id_answers_identically_mapped_and_heap() {
+        let (h, mut ranked, values) = sample(24);
+        // Id 5 leaves the base and comes back with a different signature:
+        // its stale base rows stay behind a tombstone while the live id
+        // resides in a sealed segment. Those stale rows belong to a live
+        // id, so neither backend may drop them.
+        let fresh: Vec<u64> = values[5][..90]
+            .iter()
+            .copied()
+            .chain(MinHasher::synthetic_values(777, 120))
+            .collect();
+        let fresh_sig = h.signature(fresh.iter().copied());
+        ranked.try_remove(5).expect("remove");
+        ranked
+            .try_insert(5, fresh.len() as u64, &fresh_sig)
+            .expect("re-insert");
+        ranked.commit();
+        assert_eq!(ranked.segment_stats().tombstones, 1);
+
+        let path = tmp("reinsert");
+        pack_ranked_to(&ranked, &path).expect("pack");
+        let mapped = MmapIndex::open_verified(&path).expect("open");
+        assert_eq!(mapped.len(), ranked.len());
+        assert_eq!(mapped.segment_stats(), ranked.segment_stats());
+        let old_sig = h.signature(values[5].iter().copied());
+        let queries = [
+            (&old_sig, values[5].len() as u64),
+            (&fresh_sig, fresh.len() as u64),
+        ];
+        for (sig, size) in queries {
+            for t in [0.1, 0.5, 0.9] {
+                let q = Query::threshold(sig, t).with_size(size);
+                let a = strip_wall(ranked.search(&q).expect("heap"));
+                let b = strip_wall(mapped.search(&q).expect("mmap"));
+                assert_eq!(a, b, "threshold parity size={size} t={t}");
+            }
+            for kk in [1usize, 5, 30] {
+                let q = Query::top_k(sig, kk).with_size(size);
+                let a = strip_wall(ranked.search(&q).expect("heap"));
+                let b = strip_wall(mapped.search(&q).expect("mmap"));
+                assert_eq!(a, b, "top-k parity size={size} kk={kk}");
+            }
+        }
+        // The re-inserted id answers with its new sketch's estimate.
+        let q = Query::threshold(&fresh_sig, 0.9).with_size(fresh.len() as u64);
+        let own = mapped.search(&q).expect("mmap");
+        let hit = own.hits.iter().find(|hit| hit.id == 5).expect("self hit");
+        assert!((hit.estimate.expect("estimate") - 1.0).abs() < 1e-9);
         std::fs::remove_file(&path).ok();
     }
 

@@ -103,6 +103,19 @@ impl PartitionStrategy {
             Self::EquiFp { n } => Partitioning::equi_fp(sizes, n),
         }
     }
+
+    /// The index label an ensemble built with this strategy reports
+    /// (the experiment harness's series name).
+    #[must_use]
+    pub fn label(&self) -> String {
+        match *self {
+            Self::Single => "MinHash LSH (baseline)".to_owned(),
+            Self::EquiDepth { n } => format!("LSH Ensemble ({n})"),
+            Self::EquiWidth { n } => format!("LSH Ensemble equi-width ({n})"),
+            Self::Morph { n, lambda } => format!("LSH Ensemble morph ({n}, λ={lambda:.2})"),
+            Self::EquiFp { n } => format!("LSH Ensemble equi-FP ({n})"),
+        }
+    }
 }
 
 impl Partitioning {

@@ -17,13 +17,14 @@
 //! plain [`LshEnsemble`] when memory is tighter than ranking is valuable.
 
 use crate::api::{
-    CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query, QueryError,
-    QueryMode, SearchHit, SearchOutcome, SegmentStats, DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
+    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
+    SegmentStats, DEFAULT_REBALANCE_TRIGGER,
 };
+use crate::engine::{Ranked, Sketches, Sweep};
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 use lshe_lsh::DomainId;
 use lshe_minhash::hash::FastHashMap;
-use lshe_minhash::{containment_from_jaccard, Signature};
+use lshe_minhash::Signature;
 
 /// A containment-search index that can rank its answers.
 #[derive(Debug, Clone)]
@@ -363,40 +364,18 @@ impl RankedIndex {
         true
     }
 
-    /// Ranks arbitrary candidate ids by estimated containment (descending,
-    /// ties by id). Candidates must all be indexed.
-    ///
-    /// # Panics
-    /// Panics if a candidate id was never indexed.
-    #[must_use]
-    pub fn rank_candidates(
-        &self,
-        candidates: Vec<DomainId>,
-        signature: &Signature,
-        query_size: u64,
-    ) -> Vec<RankedHit> {
-        self.rank(candidates, signature, query_size)
+    /// The query engine over this index: the ensemble's sweep, ranked
+    /// from the retained sketches.
+    fn engine(&self) -> Ranked<'_, Sweep<'_>> {
+        Ranked {
+            candidates: self.ensemble.sweep(),
+            sketches: self.sketch_source(),
+        }
     }
 
-    fn rank(&self, candidates: Vec<DomainId>, signature: &Signature, q: u64) -> Vec<RankedHit> {
-        let mut hits: Vec<RankedHit> = candidates
-            .into_iter()
-            .map(|id| {
-                let (x, sig) = &self.sketches[&id];
-                let s = signature.jaccard(sig);
-                RankedHit {
-                    id,
-                    estimated_containment: containment_from_jaccard(s, *x as f64, q as f64),
-                }
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.estimated_containment
-                .partial_cmp(&a.estimated_containment)
-                .expect("no NaN")
-                .then(a.id.cmp(&b.id))
-        });
-        hits
+    /// The retained sketches as the query engine reads them.
+    pub(crate) fn sketch_source(&self) -> Sketches<'_> {
+        Sketches::Heap(&self.sketches)
     }
 
     /// Threshold search with ranked output: candidates at `t_star`, sorted
@@ -414,26 +393,9 @@ impl RankedIndex {
         t_star: f64,
         slack: f64,
     ) -> Vec<RankedHit> {
-        self.query_ranked_counted(signature, query_size, t_star, slack, false)
+        self.engine()
+            .threshold(signature, query_size, t_star, slack, false)
             .0
-    }
-
-    /// Instrumented [`query_ranked`](Self::query_ranked): hits plus the
-    /// probe counters of the underlying ensemble sweep.
-    pub(crate) fn query_ranked_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        slack: f64,
-        parallel: bool,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        let (raw, probe) = self
-            .ensemble
-            .query_counted(signature, query_size, t_star, parallel);
-        let mut hits = self.rank(raw, signature, query_size);
-        hits.retain(|h| h.estimated_containment >= t_star - slack);
-        (hits, probe)
     }
 
     /// Top-k search: descends through containment thresholds
@@ -444,27 +406,7 @@ impl RankedIndex {
     /// Panics if `k == 0`, plus the usual query validation.
     #[must_use]
     pub fn query_top_k(&self, signature: &Signature, query_size: u64, k: usize) -> Vec<RankedHit> {
-        self.query_top_k_counted(signature, query_size, k, false).0
-    }
-
-    /// Instrumented [`query_top_k`](Self::query_top_k). Probe counters
-    /// accumulate raw candidates across the descent passes; partitions
-    /// probed is the maximum over passes (so it stays ≤ total).
-    pub(crate) fn query_top_k_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        k: usize,
-        parallel: bool,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        assert!(k > 0, "k must be positive");
-        let (seen, probe) = crate::api::top_k_descend(k, |t| {
-            self.ensemble
-                .query_counted(signature, query_size, t, parallel)
-        });
-        let mut hits = self.rank(seen, signature, query_size);
-        hits.truncate(k);
-        (hits, probe)
+        self.engine().top_k(signature, query_size, k, false).0
     }
 }
 
@@ -522,72 +464,13 @@ impl MutableIndex for RankedIndex {
     }
 }
 
-/// Converts ranked hits into the unified [`SearchHit`] shape.
-fn to_search_hits(hits: Vec<RankedHit>) -> Vec<SearchHit> {
-    hits.into_iter()
-        .map(|h| SearchHit {
-            id: h.id,
-            estimate: Some(h.estimated_containment),
-        })
-        .collect()
-}
-
 impl DomainIndex for RankedIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.ensemble.config().num_perm)?;
-        let started = std::time::Instant::now();
-        let q = query.effective_size();
-        let (hits, probe) = match query.mode() {
-            QueryMode::Threshold(t_star) => self.query_ranked_counted(
-                query.signature(),
-                q,
-                t_star,
-                ESTIMATE_SLACK,
-                query.parallel(),
-            ),
-            QueryMode::TopK(k) => {
-                self.query_top_k_counted(query.signature(), q, k, query.parallel())
-            }
-        };
-        Ok(crate::api::outcome_from_hits(
-            to_search_hits(hits),
-            probe,
-            started,
-        ))
+        self.engine().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.ensemble.config().num_perm,
-            |items| {
-                // One batched ensemble sweep for every threshold query;
-                // ranking runs in the same worker lane, straight after the
-                // query's dedup.
-                self.ensemble
-                    .batch_threshold_map(items, |item, ids, probe, mut nanos| {
-                        let started = std::time::Instant::now();
-                        let mut hits = self.rank(ids, item.signature, item.size);
-                        hits.retain(|h| h.estimated_containment >= item.t_star - ESTIMATE_SLACK);
-                        nanos += started.elapsed().as_nanos() as u64;
-                        crate::api::outcome_from_hits_timed(to_search_hits(hits), probe, nanos)
-                    })
-            },
-            |query, k| {
-                let started = std::time::Instant::now();
-                let (hits, probe) = self.query_top_k_counted(
-                    query.signature(),
-                    query.effective_size(),
-                    k,
-                    query.parallel(),
-                );
-                Ok(crate::api::outcome_from_hits(
-                    to_search_hits(hits),
-                    probe,
-                    started,
-                ))
-            },
-        )
+        self.engine().search_batch(queries)
     }
 
     fn len(&self) -> usize {

@@ -11,6 +11,8 @@ use crate::api::{
     outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query,
     QueryError, QueryMode, SearchOutcome, SegmentStats,
 };
+use crate::batch::ThresholdItem;
+use crate::engine::Candidates;
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
 use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
@@ -338,7 +340,7 @@ impl ShardedEnsemble {
                 .shards
                 .iter()
                 .map(|shard| {
-                    scope.spawn(move || shard.query_counted(signature, query_size, t_star, false))
+                    scope.spawn(move || shard.sweep().query(signature, query_size, t_star, false))
                 })
                 .collect();
             handles
@@ -373,10 +375,12 @@ impl ShardedEnsemble {
     /// query.
     pub(crate) fn batch_query_counted(
         &self,
-        items: &[crate::batch::ThresholdItem<'_>],
+        items: &[ThresholdItem<'_>],
     ) -> Vec<(Vec<DomainId>, ProbeCounts, u64)> {
         let sweep = |shard: &LshEnsemble| {
-            shard.batch_sweep_chunk(items, &|_, ids, probe, nanos| (ids, probe, nanos))
+            shard
+                .sweep()
+                .batch_chunk(items, &|_, ids, probe, nanos| (ids, probe, nanos))
         };
         let guard = lshe_minhash::lanes::acquire(self.shards.len().saturating_sub(1));
         let lanes = guard.lanes().min(self.shards.len());
@@ -423,6 +427,36 @@ impl ShardedEnsemble {
                 }
                 (crate::batch::merge_sorted_disjoint(runs), probe, nanos)
             })
+            .collect()
+    }
+}
+
+/// The shards as one candidate source: every query fans out across the
+/// shards, so the `parallel` hint has nothing left to add.
+impl Candidates for &ShardedEnsemble {
+    fn num_perm(&self) -> usize {
+        self.shards[0].config().num_perm
+    }
+
+    fn query(
+        &self,
+        signature: &Signature,
+        q: u64,
+        t_star: f64,
+        _parallel: bool,
+    ) -> (Vec<DomainId>, ProbeCounts) {
+        self.query_counted(signature, q, t_star)
+    }
+
+    fn batch_map<R: Send>(
+        &self,
+        items: &[ThresholdItem<'_>],
+        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
+    ) -> Vec<R> {
+        items
+            .iter()
+            .zip(self.batch_query_counted(items))
+            .map(|(item, (ids, probe, nanos))| post(item, ids, probe, nanos))
             .collect()
     }
 }

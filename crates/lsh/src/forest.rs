@@ -27,16 +27,12 @@
 
 use crate::DomainId;
 use lshe_minhash::Signature;
+use lshe_store::{PartitionView, TreeView};
 
 /// Truncates a signature slot (61-bit value) to its top 32 bits for compact
 /// key storage.
-///
-/// Public because out-of-crate readers of the committed form (the
-/// memory-mapped store backend) must derive query prefixes with the exact
-/// same truncation the forest used at insert time.
 #[inline]
-#[must_use]
-pub fn truncate_slot(v: u64) -> u32 {
+fn truncate_slot(v: u64) -> u32 {
     // Slots are < 2^61 (or the u64::MAX empty sentinel, which saturates).
     (v >> 29).min(u64::from(u32::MAX)) as u32
 }
@@ -123,14 +119,7 @@ impl PrefixTree {
     /// `out`. `prefix.len() == r`.
     fn query(&self, r_max: usize, prefix: &[u32], out: &mut Vec<DomainId>) {
         let r = prefix.len();
-        let n = self.ids.len();
-        // Binary search over the sorted region.
-        let lower = partition_point(n, |i| &Self::row(&self.keys, r_max, i)[..r] < prefix);
-        let mut i = lower;
-        while i < n && &Self::row(&self.keys, r_max, i)[..r] == prefix {
-            out.push(self.ids[i]);
-            i += 1;
-        }
+        TreeView::new(&self.keys, &self.ids, r_max).probe_into(prefix, out);
         // Linear scan of the staged tail.
         for (j, &id) in self.staged_ids.iter().enumerate() {
             if &Self::row(&self.staged_keys, r_max, j)[..r] == prefix {
@@ -140,18 +129,44 @@ impl PrefixTree {
     }
 }
 
-/// `partition_point` over an implicit `0..n` sequence.
-fn partition_point(n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
+/// Calls `probe(t, prefix)` for each of the first `b` trees, `prefix`
+/// being tree `t`'s query key: the signature's slots
+/// `[t·r_max, t·r_max + r)`, truncated exactly as inserts truncate them.
+fn for_each_prefix(
+    sig: &Signature,
+    b: usize,
+    r: usize,
+    r_max: usize,
+    mut probe: impl FnMut(usize, &[u32]),
+) {
+    let slots = sig.slots();
+    let mut prefix = Vec::with_capacity(r);
+    for t in 0..b {
+        let start = t * r_max;
+        prefix.clear();
+        prefix.extend(slots[start..start + r].iter().map(|&v| truncate_slot(v)));
+        probe(t, &prefix);
     }
-    lo
+}
+
+/// Collects candidates for `sig` from a packed partition — a committed
+/// forest's trees as laid out in a v2 store — using the first `b` trees
+/// at prefix depth `r`. Answers exactly what [`LshForest::query_into`]
+/// answers on the forest that was packed.
+///
+/// # Panics
+/// Panics if `b` exceeds the view's trees or `r` is zero or exceeds its
+/// depth.
+pub fn query_packed_into(
+    view: &PartitionView<'_>,
+    sig: &Signature,
+    b: usize,
+    r: usize,
+    out: &mut Vec<DomainId>,
+) {
+    for_each_prefix(sig, b, r, view.r_max(), |t, prefix| {
+        view.tree(t).probe_into(prefix, out);
+    });
 }
 
 /// A dynamic MinHash LSH index supporting query-time `(b, r)` selection.
@@ -311,14 +326,9 @@ impl LshForest {
             sig.len(),
             self.b_max * self.r_max
         );
-        let slots = sig.slots();
-        let mut prefix = Vec::with_capacity(r);
-        for (t, tree) in self.trees[..b].iter().enumerate() {
-            let start = t * self.r_max;
-            prefix.clear();
-            prefix.extend(slots[start..start + r].iter().map(|&v| truncate_slot(v)));
-            tree.query(self.r_max, &prefix, out);
-        }
+        for_each_prefix(sig, b, r, self.r_max, |t, prefix| {
+            self.trees[t].query(self.r_max, prefix, out);
+        });
     }
 
     /// Deduplicated candidate set for `sig` at `(b, r)`.

@@ -15,13 +15,14 @@
 //! - [`mod@format`]: the container layout — [`Packer`] writes a file once,
 //!   streaming; [`Store`] maps it and hands out borrowed section slices.
 //! - [`views`]: [`SketchesView`] and [`PartitionView`], the zero-copy
-//!   structures the `lshe-core` mmap backend queries.
+//!   structures the `lshe-core` mmap backend queries, and [`TreeView`],
+//!   the equal-range probe heap forests (`lshe-lsh`) share.
 //! - [`error`]: [`StoreError`], which names the section at fault for
 //!   every corruption it reports.
 //!
 //! This crate knows bytes, not index semantics: what the sections *mean*
-//! (partitions, tuning, ranking) lives in `lshe-core`'s mmap backend and
-//! the serve layer's packing code.
+//! (partitions, tuning, ranking) lives in `lshe-core`'s query engine and
+//! mmap backend and the serve layer's packing code.
 
 // The format is little-endian on disk and views integers in place, so a
 // big-endian build would silently read garbage. Fail loudly instead.

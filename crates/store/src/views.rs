@@ -4,8 +4,8 @@
 //! of a [`Store`](crate::format::Store) mapping and layers just enough
 //! structure on top to answer queries — sketch lookup by domain id, and
 //! prefix-tree probing inside a partition. The higher layers (the
-//! `lshe-core` mmap backend) own the index semantics; the views own the
-//! layout.
+//! `lshe-lsh` forest and `lshe-core`'s query engine) own the index
+//! semantics; the views own the layout.
 
 /// Borrowed sketch columns: sorted domain ids with parallel size and
 /// signature-slot arrays.
@@ -157,6 +157,12 @@ impl<'a> PartitionView<'a> {
         self.b_max
     }
 
+    /// Key slots per row (the deepest usable prefix).
+    #[must_use]
+    pub fn r_max(&self) -> usize {
+        self.r_max
+    }
+
     /// The `t`-th tree.
     ///
     /// # Panics
@@ -164,11 +170,11 @@ impl<'a> PartitionView<'a> {
     #[must_use]
     pub fn tree(&self, t: usize) -> TreeView<'a> {
         assert!(t < self.b_max, "tree index out of range");
-        TreeView {
-            keys: &self.keys[t * self.rows * self.r_max..(t + 1) * self.rows * self.r_max],
-            ids: &self.ids[t * self.rows..(t + 1) * self.rows],
-            r_max: self.r_max,
-        }
+        TreeView::new(
+            &self.keys[t * self.rows * self.r_max..(t + 1) * self.rows * self.r_max],
+            &self.ids[t * self.rows..(t + 1) * self.rows],
+            self.r_max,
+        )
     }
 
     /// True when every tree's rows are lexicographically sorted — the
@@ -193,6 +199,17 @@ pub struct TreeView<'a> {
 }
 
 impl<'a> TreeView<'a> {
+    /// Views `ids.len()` sorted rows of `r_max` key slots each — a packed
+    /// tree, or the committed region of a heap prefix tree.
+    ///
+    /// # Panics
+    /// Panics if `keys.len() != ids.len() * r_max`.
+    #[must_use]
+    pub fn new(keys: &'a [u32], ids: &'a [u32], r_max: usize) -> Self {
+        assert_eq!(keys.len(), ids.len() * r_max, "tree keys and ids disagree");
+        Self { keys, ids, r_max }
+    }
+
     /// Rows in this tree.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -205,8 +222,8 @@ impl<'a> TreeView<'a> {
 
     /// Pushes the id of every row whose first `prefix.len()` key slots
     /// equal `prefix`: binary search to the equal range's start, then a
-    /// linear walk — the committed forest's probe, verbatim, over
-    /// borrowed memory.
+    /// linear walk. This is the only equal-range probe in the workspace:
+    /// heap forests and mapped partitions both answer through it.
     ///
     /// # Panics
     /// Panics if `prefix` is empty or longer than `r_max`.
