@@ -94,7 +94,7 @@ fn batch_throughput(c: &mut Criterion) {
     bench_pair(&mut group, "sharded4", &sharded, &queries);
     drop(sharded);
 
-    let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), SHARDS, config(8));
+    let sharded_ranked = ShardedRanked::build(&ranked, SHARDS, config(8));
     bench_pair(&mut group, "sharded_ranked4", &sharded_ranked, &queries);
 
     group.finish();

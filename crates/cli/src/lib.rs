@@ -625,11 +625,11 @@ fn cmd_pack(flags: &Flags) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Splits a ranked index into per-shard container files by `id % N` —
-/// the exact placement the cluster coordinator routes by, and (for the
-/// dense ids a fresh build assigns) the exact distribution the
-/// in-process `--shards N` server uses, so the resulting cluster answers
-/// bit-identically to the unsplit server.
+/// Splits a ranked index into per-shard container files by
+/// `lshe_core::shard_of` (`id % N`) — the placement the cluster
+/// coordinator routes by and the in-process `--shards N` server builds
+/// with, so the resulting cluster answers bit-identically to the unsplit
+/// server, whatever ids earlier mutations left behind.
 fn cmd_split(flags: &Flags) -> Result<String, CliError> {
     let index_path = flags.require("index")?.to_owned();
     let shards: usize = flags.get_parsed("shards", 0)?;
@@ -647,7 +647,7 @@ fn cmd_split(flags: &Flags) -> Result<String, CliError> {
 
     let container = load_container(&index_path)?;
     let parts = container
-        .split_with(shards, lshe_cluster::shard_of)
+        .split_with(shards, lshe_core::shard_of)
         .map_err(CliError::Index)?;
 
     let ext = if pack { "lshepk" } else { "lshe" };

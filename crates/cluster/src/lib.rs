@@ -1,7 +1,8 @@
 //! # lshe-cluster
 //!
 //! The multi-**process** tier of the paper's §6.3 deployment story: where
-//! `lshe_core::ShardedRanked` fans a query out across in-process shards,
+//! `lshe_core::ShardedRanked` (a `RankedIndex` over a `ShardedEnsemble`)
+//! fans a query out across in-process shards,
 //! this crate fans it out across N independent `lshe-serve` processes over
 //! their existing HTTP/JSON protocol — a coordinator that speaks the same
 //! endpoint surface downstream clients already use, so moving from one
@@ -9,7 +10,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`placement`] | deterministic domain→shard routing (`id % shards`, the same modulus [`lshe_core::ShardedEnsemble`] inserts route by) |
+//! | [`placement`] | deterministic domain→shard routing: [`lshe_core::shard_of`] (`id % shards`), the one rule every layer places by |
 //! | [`pool`] | per-shard keep-alive connection pool with connect/read deadlines |
 //! | [`health`] | per-shard consecutive-failure state machine; degraded shards are skipped, probes re-admit them |
 //! | [`scatter`](mod@scatter) | lanes-budgeted parallel fan-out and hedged retries for straggler shards |
@@ -18,8 +19,9 @@
 //!
 //! ## Why the answers match the single process bit-for-bit
 //!
-//! `IndexContainer::split_with` builds each shard file with the *same*
-//! per-shard ensemble construction `open_index_sharded` performs, and the
+//! `IndexContainer::split_with` builds each shard file from the *same*
+//! domains, placed by the same `shard_of`, with the same per-shard
+//! ensemble construction `open_index_sharded` performs, and the
 //! server's JSON layer renders `f64` estimates at shortest-round-trip
 //! precision — so the coordinator can forward query bodies verbatim,
 //! merge the shard responses' already-ranked hit lists, and re-render,

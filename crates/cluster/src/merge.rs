@@ -2,11 +2,14 @@
 //!
 //! Each shard returns its hits already ranked the way `RankedIndex`
 //! ranks them: containment estimate descending, id ascending among
-//! ties. The single-process `ShardedRanked` produces the *global*
-//! version of that order by unioning per-shard candidate ids and
-//! ranking once — and because every shard applies the same estimator to
-//! the same signatures, the global order is exactly the merge of the
-//! per-shard orders. So the coordinator never recomputes an estimate:
+//! ties. The single-process `ShardedRanked` — the same `RankedIndex`
+//! wrapped around a `ShardedEnsemble` — produces the *global* version of
+//! that order by unioning per-shard candidate ids and ranking once. Both
+//! tiers place every domain by `lshe_core::shard_of`, so a shard process
+//! holds exactly the candidates of the matching in-process shard, and
+//! because every shard applies the same estimator to the same
+//! signatures, the global order is exactly the merge of the per-shard
+//! orders. So the coordinator never recomputes an estimate:
 //! it concatenates the shard hit objects verbatim (estimates included,
 //! bit-for-bit — the JSON layer renders `f64` at shortest-round-trip
 //! precision) and re-sorts by the same key.

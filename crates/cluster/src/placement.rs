@@ -1,26 +1,16 @@
 //! Deterministic domain→shard placement.
 //!
-//! One function, used by every layer that must agree on where a domain
-//! lives: `lshe split` when it partitions a container into shard files,
-//! the coordinator when it routes `/insert` and `/remove`, and (by
-//! construction) `lshe_core::ShardedEnsemble::try_insert`, which routes
-//! live inserts to `id % num_shards` in the single-process topology.
-//!
-//! For the dense ids a fresh `IndexContainer::build` assigns (0..n), the
-//! modulus also coincides with the positional round-robin
-//! `ShardedEnsemble::build_from_parts` distributes sorted-by-id entries
-//! with — which is what makes a split-file cluster answer bit-identically
-//! to the one-process `--shards N` server over the same corpus.
+//! One function, [`shard_of`] (`id % N`), defined in `lshe-core` and
+//! re-exported here, is used by every layer that must agree on where a
+//! domain lives: the coordinator when it routes `/insert` and `/remove`,
+//! `lshe split` when it partitions a container into shard files, and the
+//! in-process `ShardedEnsemble` when it builds, inserts, removes and
+//! rebuilds. Because the rule depends on the id alone, a split-file
+//! cluster holds exactly the domains of the one-process `--shards N`
+//! server over the same container — after removals and compactions too,
+//! not only for the dense ids a fresh `IndexContainer::build` assigns.
 
-/// The shard that owns domain `id` in an `num_shards`-way cluster.
-///
-/// # Panics
-/// Panics if `num_shards == 0`.
-#[must_use]
-pub fn shard_of(id: u32, num_shards: usize) -> usize {
-    assert!(num_shards > 0, "a cluster has at least one shard");
-    id as usize % num_shards
-}
+pub use lshe_core::shard_of;
 
 #[cfg(test)]
 mod tests {

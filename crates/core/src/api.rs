@@ -35,10 +35,8 @@
 //! assert!(outcome.stats.partitions_probed <= outcome.stats.partitions_total);
 //! ```
 
-use crate::engine::Ranked;
-use crate::ensemble::{EnsembleConfig, LshEnsemble, PartitionStats};
-use crate::ranked::{skew_exceeds, RankedIndex};
-use crate::sharded::ShardedEnsemble;
+use crate::engine::top_k_unsupported;
+use crate::ensemble::EnsembleConfig;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::Signature;
@@ -48,7 +46,7 @@ use std::time::Instant;
 /// Slack applied when pruning candidates by *estimated* containment:
 /// estimates are noisy at roughly ±1/√m, so candidates whose estimate
 /// falls just below the threshold are kept rather than dropped. Shared by
-/// [`RankedIndex`], [`ShardedRanked`], and the serve layer.
+/// [`crate::RankedIndex`] (sharded or not) and the serve layer.
 pub const ESTIMATE_SLACK: f64 = 0.1;
 
 /// What a query asks for: everything past a containment threshold, or the
@@ -284,7 +282,7 @@ pub fn needs_compaction(stats: SegmentStats, len: usize) -> bool {
 /// [`MutationError`] rather than panicking.
 ///
 /// Backends that retain per-domain sketches ([`crate::RankedIndex`],
-/// [`ShardedRanked`]) additionally *rebalance* on commit: when the fullest
+/// [`crate::ShardedRanked`]) additionally *rebalance* on commit: when the fullest
 /// partition drifts past the configured trigger multiple of the mean
 /// population, the equi-depth partitioning (and shard assignment) is
 /// rebuilt from the sketches, restoring the freshly-built layout. Plain
@@ -708,9 +706,7 @@ impl DomainIndex for ForestIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
         query.validate_for(self.config.num_perm)?;
         let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
-            ));
+            return Err(top_k_unsupported());
         };
         let started = Instant::now();
         let mut buf = Vec::new();
@@ -738,11 +734,7 @@ impl DomainIndex for ForestIndex {
                     })
                     .collect()
             },
-            |_, _| {
-                Err(QueryError::Unsupported(
-                    "top-k needs retained sketches; use a RankedIndex".into(),
-                ))
-            },
+            |_, _| Err(top_k_unsupported()),
         )
     }
 
@@ -759,301 +751,11 @@ impl DomainIndex for ForestIndex {
     }
 }
 
-// ------------------------------------------------------------- ShardedRanked
-
-/// A [`ShardedEnsemble`] paired with the retained sketches of a
-/// [`RankedIndex`]: the paper's §6.3 fan-out/union topology *with*
-/// containment estimates and top-k — the backend the server uses for
-/// `--shards N`.
-///
-/// The sketches are shared (`Arc`), not copied: the shards borrow them at
-/// build time and the estimate pass looks them up per candidate.
-#[derive(Debug)]
-pub struct ShardedRanked {
-    shards: ShardedEnsemble,
-    ranked: Arc<RankedIndex>,
-    config: EnsembleConfig,
-    rebalance_trigger: f64,
-}
-
-impl ShardedRanked {
-    /// Splits the ranked index's domains round-robin across `num_shards`
-    /// freshly built shards (zero-copy: signatures are borrowed from the
-    /// retained sketches).
-    ///
-    /// # Panics
-    /// Panics if `num_shards == 0` or the ranked index holds fewer domains
-    /// than shards.
-    #[must_use]
-    pub fn build(ranked: Arc<RankedIndex>, num_shards: usize, config: EnsembleConfig) -> Self {
-        let entries = ranked.sketch_entries();
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-        let shards = ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &sigs);
-        drop(entries);
-        Self {
-            shards,
-            ranked,
-            config,
-            rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.num_shards()
-    }
-
-    /// The underlying shards.
-    #[must_use]
-    pub fn shards(&self) -> &ShardedEnsemble {
-        &self.shards
-    }
-
-    /// True if `id` is currently indexed.
-    #[must_use]
-    pub fn contains(&self, id: DomainId) -> bool {
-        self.ranked.contains(id)
-    }
-
-    /// Sets the equi-depth skew multiple past which a commit rebuilds the
-    /// shard assignment (and the ranked index's partitioning) from the
-    /// retained sketches. Values ≤ 1.0 rebalance on every post-mutation
-    /// commit; the default is [`DEFAULT_REBALANCE_TRIGGER`].
-    pub fn set_rebalance_trigger(&mut self, trigger: f64) {
-        self.rebalance_trigger = trigger;
-        Arc::make_mut(&mut self.ranked).set_rebalance_trigger(trigger);
-    }
-
-    /// Typed insert: retains the sketch (copy-on-write on the shared
-    /// ranked index) and routes the domain to shard `id % num_shards`.
-    ///
-    /// # Errors
-    /// As [`RankedIndex::try_insert`].
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        Arc::make_mut(&mut self.ranked).try_insert(id, size, signature)?;
-        self.shards.try_insert(id, size, signature)
-    }
-
-    /// Typed removal from both the sketch store and the owning shard.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        Arc::make_mut(&mut self.ranked).try_remove(id)?;
-        self.shards.try_remove(id)
-    }
-
-    /// Folds staged inserts on every shard (and in the ranked index), then
-    /// rebuilds the whole shard assignment from the retained sketches when
-    /// partition-population skew passed the trigger — restoring exactly
-    /// the layout a fresh [`build`](Self::build) on the current corpus
-    /// would produce.
-    pub fn commit(&mut self) -> CommitReport {
-        let merged = self.shards.staged_len();
-        let ranked_report = Arc::make_mut(&mut self.ranked).commit();
-        let shard_report = self.shards.commit();
-        let rebalanced = self.maybe_rebalance();
-        let stats = self.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: rebalanced || ranked_report.rebalanced,
-            sealed: shard_report.sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Forces the O(corpus) merge on every tier: seals any staged delta,
-    /// then rebuilds the shard assignment from the retained sketches (the
-    /// same path a triggered rebalance takes), leaving zero outstanding
-    /// segments and tombstones. Falls back to per-shard in-place folding
-    /// when the corpus is smaller than the shard count.
-    pub fn compact(&mut self) -> CommitReport {
-        let merged = self.shards.staged_len();
-        let ranked_report = Arc::make_mut(&mut self.ranked).compact();
-        let shard_report = self.shards.commit();
-        let rebalanced = if self.ranked.len() < self.shards.num_shards() {
-            self.shards.compact();
-            false
-        } else {
-            let entries = self.ranked.sketch_entries();
-            let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-            let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-            let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-            let rebuilt = ShardedEnsemble::build_from_parts(
-                self.shards.num_shards(),
-                self.config,
-                &ids,
-                &sizes,
-                &sigs,
-            );
-            drop((entries, ids, sizes, sigs));
-            self.shards = rebuilt;
-            true
-        };
-        let stats = self.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: rebalanced || ranked_report.rebalanced,
-            sealed: shard_report.sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Outstanding segments/tombstones summed over the query-side shards.
-    #[must_use]
-    pub fn segment_stats(&self) -> SegmentStats {
-        self.shards.segment_stats()
-    }
-
-    /// Number of staged inserts on the query (shard) side.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.shards.staged_len()
-    }
-
-    fn maybe_rebalance(&mut self) -> bool {
-        // Base partitions only: sealed segments are transient and must not
-        // read as drift (see `RankedIndex::maybe_rebalance`).
-        let stats: Vec<PartitionStats> = self
-            .shards
-            .shards()
-            .iter()
-            .flat_map(LshEnsemble::base_partition_stats)
-            .collect();
-        if !skew_exceeds(&stats, self.shards.len(), self.rebalance_trigger) {
-            return false;
-        }
-        if self.ranked.len() < self.shards.num_shards() {
-            return false; // cannot split fewer domains than shards
-        }
-        let entries = self.ranked.sketch_entries();
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-        let rebuilt = ShardedEnsemble::build_from_parts(
-            self.shards.num_shards(),
-            self.config,
-            &ids,
-            &sizes,
-            &sigs,
-        );
-        drop((entries, ids, sizes, sigs));
-        self.shards = rebuilt;
-        true
-    }
-}
-
-impl MutableIndex for ShardedRanked {
-    fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
-    }
-
-    fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
-    }
-
-    fn commit(&mut self) -> CommitReport {
-        ShardedRanked::commit(self)
-    }
-
-    fn staged_len(&self) -> usize {
-        ShardedRanked::staged_len(self)
-    }
-
-    fn compact(&mut self) -> CommitReport {
-        ShardedRanked::compact(self)
-    }
-
-    fn segment_stats(&self) -> SegmentStats {
-        ShardedRanked::segment_stats(self)
-    }
-
-    fn segment_layout(&self) -> crate::SegmentLayout {
-        self.shards.segment_layout()
-    }
-
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => {
-                // Both tiers fold: the shards answer queries, the ranked
-                // sketch store keeps its own (positionally parallel)
-                // stack from shrinking without bound.
-                Arc::make_mut(&mut self.ranked).merge_segments(idxs);
-                self.shards.merge_segments(idxs)
-            }
-            crate::MergeTask::Full => {
-                let folded = self.ranked.len();
-                ShardedRanked::compact(self);
-                folded
-            }
-        };
-        let stats = self.segment_stats();
-        crate::MergeOutcome {
-            entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-}
-
-impl ShardedRanked {
-    /// The query engine over the shards, ranked from the shared sketches.
-    fn engine(&self) -> Ranked<'_, &ShardedEnsemble> {
-        Ranked {
-            candidates: &self.shards,
-            sketches: self.ranked.sketch_source(),
-        }
-    }
-}
-
-impl DomainIndex for ShardedRanked {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.engine().search(query)
-    }
-
-    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        self.engine().search_batch(queries)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // The sketches are shared with the ranked index, but this backend
-        // keeps them alive, so count both the shards and the sketch heap.
-        self.shards.memory_bytes() + self.ranked.sketch_memory_bytes()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "Sharded LSH Ensemble ({} shards, ranked)",
-            self.shards.num_shards()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ensemble::LshEnsemble;
     use crate::partition::PartitionStrategy;
-    use crate::ranked::RankedIndexBuilder;
     use lshe_minhash::MinHasher;
 
     fn nested(n: usize) -> (MinHasher, Vec<(DomainId, u64, Signature)>) {
@@ -1165,101 +867,6 @@ mod tests {
             .expect("search");
         assert!(out.hits.is_empty());
         assert!(DomainIndex::is_empty(&idx));
-    }
-
-    #[test]
-    fn sharded_ranked_threshold_and_topk() {
-        let (_, entries) = nested(24);
-        let mut b = RankedIndexBuilder::new(config(4));
-        for (id, size, sig) in &entries {
-            b.add(*id, *size, sig.clone());
-        }
-        let ranked = Arc::new(b.build());
-        let idx = ShardedRanked::build(Arc::clone(&ranked), 3, config(2));
-        assert_eq!(idx.num_shards(), 3);
-        assert_eq!(DomainIndex::len(&idx), 24);
-
-        let (_, size, sig) = &entries[7];
-        let out = idx
-            .search(&Query::threshold(sig, 0.8).with_size(*size))
-            .expect("search");
-        assert!(out.hits.iter().any(|h| h.id == 7), "self hit missing");
-        for h in &out.hits {
-            let e = h.estimate.expect("sharded-ranked attaches estimates");
-            assert!((0.0..=1.0).contains(&e));
-        }
-        for w in out.hits.windows(2) {
-            assert!(w[0].estimate >= w[1].estimate, "not sorted by estimate");
-        }
-        assert!(out.stats.partitions_probed <= out.stats.partitions_total);
-
-        let top = idx
-            .search(&Query::top_k(sig, 5).with_size(*size))
-            .expect("topk");
-        assert_eq!(top.hits.len(), 5);
-        assert_eq!(top.hits[0].id, 7, "self match must rank first");
-    }
-
-    #[test]
-    fn sharded_ranked_mutation_is_cow_and_rebalances() {
-        let (h, entries) = nested(24);
-        let mut b = RankedIndexBuilder::new(config(4));
-        for (id, size, sig) in &entries {
-            b.add(*id, *size, sig.clone());
-        }
-        let ranked = Arc::new(b.build());
-        let mut idx = ShardedRanked::build(Arc::clone(&ranked), 3, config(2));
-
-        // Insert + remove through the trait; the shared ranked index must
-        // stay untouched (copy-on-write).
-        let vals = MinHasher::synthetic_values(31, 75);
-        let sig = h.signature(vals.iter().copied());
-        MutableIndex::insert(&mut idx, 400, 75, &sig).expect("insert");
-        assert!(idx.contains(400));
-        assert!(!ranked.contains(400), "shared Arc mutated in place");
-        MutableIndex::remove(&mut idx, 2).expect("remove");
-        assert!(ranked.contains(2), "shared Arc mutated in place");
-        assert_eq!(idx.len(), 24);
-
-        // Staged insert immediately visible with an estimate.
-        let out = idx
-            .search(&Query::threshold(&sig, 0.9).with_size(75))
-            .expect("search");
-        let own = out.hits.iter().find(|hh| hh.id == 400).expect("self hit");
-        assert!(own.estimate.expect("estimate") > 0.9);
-
-        // Typed duplicate/unknown errors.
-        assert_eq!(
-            idx.try_insert(400, 75, &sig),
-            Err(MutationError::DuplicateId(400))
-        );
-        assert_eq!(idx.try_remove(2), Err(MutationError::UnknownId(2)));
-
-        // Forced rebalance reproduces a fresh build on the final corpus.
-        idx.set_rebalance_trigger(0.0);
-        let report = MutableIndex::commit(&mut idx);
-        assert_eq!(report.merged, 1);
-        assert!(report.rebalanced);
-        assert_eq!(MutableIndex::staged_len(&idx), 0);
-        let fresh = {
-            let mut b = RankedIndexBuilder::new(config(4));
-            for (id, size, sig) in &entries {
-                if *id != 2 {
-                    b.add(*id, *size, sig.clone());
-                }
-            }
-            b.add(400, 75, h.signature(vals.iter().copied()));
-            ShardedRanked::build(Arc::new(b.build()), 3, config(2))
-        };
-        for (qid, qsize, qsig) in entries.iter().filter(|(id, _, _)| *id != 2) {
-            let a = idx
-                .search(&Query::threshold(qsig, 0.7).with_size(*qsize))
-                .expect("mutated");
-            let b = fresh
-                .search(&Query::threshold(qsig, 0.7).with_size(*qsize))
-                .expect("fresh");
-            assert_eq!(a.hits, b.hits, "divergence at query {qid}");
-        }
     }
 
     #[test]

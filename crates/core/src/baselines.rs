@@ -17,7 +17,7 @@
 use crate::api::{
     outcome_from_ids, DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchOutcome,
 };
-use crate::engine::{Candidates, Live, Sweep, Trees, Unit};
+use crate::engine::{top_k_unsupported, Candidates, Live, Sweep, Trees, Unit};
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
 use crate::partition::{PartitionStrategy, Partitioning};
 use crate::tuning::Tuner;
@@ -231,9 +231,7 @@ impl DomainIndex for AsymIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
         query.validate_for(self.num_perm)?;
         let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
-            ));
+            return Err(top_k_unsupported());
         };
         let started = std::time::Instant::now();
         let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
@@ -360,18 +358,7 @@ impl AsymPartitionedIndex {
 
 impl DomainIndex for AsymPartitionedIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let q = query.effective_size();
-        let (ids, probe) = self
-            .sweep()
-            .query(query.signature(), q, t_star, query.parallel());
-        Ok(outcome_from_ids(ids, probe, started))
+        crate::engine::search_unranked(&self.sweep(), query)
     }
 
     fn len(&self) -> usize {

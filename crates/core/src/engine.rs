@@ -18,13 +18,18 @@
 //! * how liveness is checked while tombstones exist — [`Live`];
 //! * where a candidate's `(size, slots)` sketch is read from —
 //!   [`Sketches`].
+//!
+//! Sharding adds no fourth input: a [`ShardedEnsemble`](crate::ShardedEnsemble)
+//! is one more [`Candidates`] source, and the sketch-retaining wrapper is
+//! written once over any [`CandidateIndex`].
 
 use crate::api::{
-    outcome_from_hits, outcome_from_hits_timed, ProbeCounts, Query, QueryError, QueryMode,
-    SearchHit, SearchOutcome, ESTIMATE_SLACK,
+    outcome_from_hits, outcome_from_hits_timed, outcome_from_ids, outcome_from_ids_timed,
+    MutableIndex, ProbeCounts, Query, QueryError, QueryMode, SearchHit, SearchOutcome,
+    ESTIMATE_SLACK,
 };
 use crate::batch::ThresholdItem;
-use crate::ensemble::Slot;
+use crate::ensemble::{PartitionStats, Slot};
 use crate::ranked::{merge_unique, RankedHit};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
@@ -160,6 +165,74 @@ pub(crate) trait Candidates: Sync {
         items: &[ThresholdItem<'_>],
         post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
     ) -> Vec<R>;
+}
+
+/// The index a sketch-retaining [`RankedIndex`](crate::RankedIndex)
+/// wraps: one ensemble, or a set of shards. The wrapper owns the
+/// sketches, the ranking and the rebalance policy; the index supplies its
+/// candidate source, the drift metric, and a rebuild from the sketches.
+pub(crate) trait CandidateIndex: MutableIndex + Clone {
+    /// The engine's candidate source over this index.
+    type Source<'a>: Candidates
+    where
+        Self: 'a;
+
+    /// The candidate source queries sweep.
+    fn candidates(&self) -> Self::Source<'_>;
+
+    /// Base-tier partition populations (sealed segments and the staged
+    /// delta excluded): the equi-depth drift metric a commit checks.
+    fn base_partition_stats(&self) -> Vec<PartitionStats>;
+
+    /// A fresh index of the same shape over id-sorted, non-empty parallel
+    /// arrays.
+    fn rebuild(&self, ids: &[DomainId], sizes: &[u64], signatures: &[&Signature]) -> Self;
+}
+
+/// The one answer a backend without retained sketches gives a top-k
+/// query.
+pub(crate) fn top_k_unsupported() -> QueryError {
+    QueryError::Unsupported(
+        "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)".into(),
+    )
+}
+
+/// [`DomainIndex::search`](crate::DomainIndex::search) for a backend
+/// without sketches: the candidate ids, unranked.
+pub(crate) fn search_unranked(
+    source: &impl Candidates,
+    query: &Query<'_>,
+) -> Result<SearchOutcome, QueryError> {
+    query.validate_for(source.num_perm())?;
+    let QueryMode::Threshold(t_star) = query.mode() else {
+        return Err(top_k_unsupported());
+    };
+    let started = Instant::now();
+    let (ids, probe) = source.query(
+        query.signature(),
+        query.effective_size(),
+        t_star,
+        query.parallel(),
+    );
+    Ok(outcome_from_ids(ids, probe, started))
+}
+
+/// [`DomainIndex::search_batch`](crate::DomainIndex::search_batch) for a
+/// backend without sketches: one batched sweep for every threshold query.
+pub(crate) fn search_batch_unranked(
+    source: &impl Candidates,
+    queries: &[Query<'_>],
+) -> Vec<Result<SearchOutcome, QueryError>> {
+    crate::batch::split_and_run(
+        queries,
+        source.num_perm(),
+        |items| {
+            source.batch_map(items, |_, ids, probe, nanos| {
+                outcome_from_ids_timed(ids, probe, nanos)
+            })
+        },
+        |_, _| Err(top_k_unsupported()),
+    )
 }
 
 /// One index's query plan: every sweepable unit in stats order, the

@@ -9,10 +9,10 @@
 //! candidate sets are unioned (`Partitioned-Containment-Search`, §5.1).
 
 use crate::api::{
-    outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError,
-    QueryMode, SearchOutcome,
+    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
+    SegmentStats,
 };
-use crate::engine::{Candidates, Live, Sweep, Trees, Unit};
+use crate::engine::{CandidateIndex, Candidates, Live, Sweep, Trees, Unit};
 use crate::partition::PartitionStrategy;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
@@ -122,8 +122,16 @@ impl LshEnsembleBuilder {
     /// Panics if the builder is empty.
     #[must_use]
     pub fn build(self) -> LshEnsemble {
+        self.build_with(LshEnsemble::build_from_parts)
+    }
+
+    /// Hands the staged parallel arrays, signatures borrowed, to `build`.
+    pub(crate) fn build_with<T>(
+        self,
+        build: impl FnOnce(EnsembleConfig, &[DomainId], &[u64], &[&Signature]) -> T,
+    ) -> T {
         let sig_refs: Vec<&Signature> = self.signatures.iter().collect();
-        LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &sig_refs)
+        build(self.config, &self.ids, &self.sizes, &sig_refs)
     }
 }
 
@@ -268,10 +276,10 @@ pub struct PartitionStats {
 /// The LSH Ensemble index.
 ///
 /// Mutation is tiered, LSM-style: inserts stage into a delta buffer,
-/// [`commit`](Self::commit) seals the delta into an immutable
+/// [`MutableIndex::commit`] seals the delta into an immutable
 /// sealed segment in O(delta), removes of committed rows become
 /// tombstones filtered out of every candidate union, and
-/// [`compact`](Self::compact) folds segments and tombstones back into the
+/// [`MutableIndex::compact`] folds segments and tombstones back into the
 /// base partitions — the only O(corpus) step, and the only one a serving
 /// commit path never runs.
 #[derive(Debug)]
@@ -395,6 +403,23 @@ impl LshEnsemble {
         }
     }
 
+    /// An ensemble with no domains and no partitions — a shard whose
+    /// placement owns nothing. Inserts land in segments as usual, and
+    /// compaction grows the first partition from them.
+    pub(crate) fn empty(config: EnsembleConfig) -> Self {
+        config.validate();
+        Self {
+            tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
+            partitions: Vec::new(),
+            segments: Vec::new(),
+            staged: StagedDelta::new(config.b_max, config.r_max),
+            dead: Vec::new(),
+            config,
+            len: 0,
+            ids: FastHashMap::default(),
+        }
+    }
+
     /// Convenience: the matching [`MinHasher`] for this ensemble's
     /// signature width, using the workspace default seed.
     #[must_use]
@@ -489,16 +514,6 @@ impl LshEnsemble {
                 count: p.forest.len(),
             })
             .collect()
-    }
-
-    /// Segment-tier summary: sealed segments outstanding and tombstoned
-    /// ids awaiting compaction.
-    #[must_use]
-    pub fn segment_stats(&self) -> crate::api::SegmentStats {
-        crate::api::SegmentStats {
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
-        }
     }
 
     /// Approximate heap memory of all forests and retained segment
@@ -603,132 +618,21 @@ impl LshEnsemble {
     /// boundary partitions when the size falls outside every range, which
     /// keeps threshold conversion conservative (`u` only ever grows).
     ///
-    /// The insert is immediately queryable; call [`commit`](Self::commit)
-    /// periodically to fold staged inserts into the sorted runs.
+    /// The insert is immediately queryable; commit periodically to seal
+    /// staged inserts into a segment.
     ///
     /// # Panics
     /// Panics if `size == 0`, the signature width differs from the
     /// configuration, or the id is already indexed. Use
-    /// [`try_insert`](Self::try_insert) for typed errors.
+    /// [`MutableIndex::insert`] for typed errors.
     pub fn insert(&mut self, id: DomainId, size: u64, signature: &Signature) {
-        self.try_insert(id, size, signature)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Typed [`insert`](Self::insert): stages one new domain.
-    ///
-    /// # Errors
-    /// [`MutationError::DuplicateId`] if the id is already indexed,
-    /// [`MutationError::Invalid`] on a zero size or width mismatch.
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        if size == 0 {
-            return Err(MutationError::Invalid(
-                "domain size must be positive".into(),
-            ));
-        }
-        if signature.len() != self.config.num_perm {
-            return Err(MutationError::Invalid(format!(
-                "signature width mismatch: domain has {}, index expects {}",
-                signature.len(),
-                self.config.num_perm
-            )));
-        }
-        if self.ids.contains_key(&id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        if self.staged.entries.is_empty() {
-            self.staged.part.lower = size;
-            self.staged.part.upper = size;
-        } else {
-            self.staged.part.lower = self.staged.part.lower.min(size);
-            self.staged.part.upper = self.staged.part.upper.max(size);
-        }
-        self.staged.part.forest.insert(id, signature);
-        self.staged.entries.push((id, size, signature.clone()));
-        self.ids.insert(id, Slot::Staged);
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Removes one domain. Takes effect immediately for queries: a staged
-    /// id is dropped from the delta buffer physically, while an id living
-    /// in the base or in a sealed segment becomes a tombstone that is
-    /// filtered out of every candidate set until
-    /// [`compact`](Self::compact) erases the underlying rows. Partition
-    /// bounds are left as-is — a too-wide upper bound only makes threshold
-    /// conversion *more* conservative, never less correct.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some(slot) = self.ids.get(&id).copied() else {
-            return Err(MutationError::UnknownId(id));
-        };
-        match slot {
-            Slot::Staged => {
-                let removed = self.staged.part.forest.remove(id);
-                debug_assert!(removed, "id map pointed at a staged delta without the id");
-                self.staged.entries.retain(|e| e.0 != id);
-                if self.staged.entries.is_empty() {
-                    // Drop the stale forest + bounds along with the last entry.
-                    self.staged = StagedDelta::new(self.config.b_max, self.config.r_max);
-                }
-            }
-            Slot::Base(p) => self.dead.push((id, DeadSlot::Base(p))),
-            Slot::Seg(s) => self.dead.push((id, DeadSlot::Seg(s))),
-        }
-        self.ids.remove(&id);
-        self.len -= 1;
-        Ok(())
+        MutableIndex::insert(self, id, size, signature).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// True if `id` is currently indexed.
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
         self.ids.contains_key(&id)
-    }
-
-    /// Number of staged (inserted but not yet sealed) domains.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.staged.entries.len()
-    }
-
-    /// Seals the staged delta into an immutable segment (LSM-style tiering):
-    /// the delta is equi-depth-partitioned on its own and pushed onto the
-    /// segment stack, so the cost is O(staged delta), never O(corpus).
-    /// Returns `true` if a segment was sealed (`false` on an empty delta).
-    pub fn commit(&mut self) -> bool {
-        if self.staged.entries.is_empty() {
-            return false;
-        }
-        let staged = std::mem::replace(
-            &mut self.staged,
-            StagedDelta::new(self.config.b_max, self.config.r_max),
-        );
-        let seg = self.segments.len() as u32;
-        for (id, _, _) in &staged.entries {
-            self.ids.insert(*id, Slot::Seg(seg));
-        }
-        self.segments
-            .push(build_segment(&self.config, staged.entries));
-        true
-    }
-
-    /// Per-segment physical entry counts plus tombstone backlog — the
-    /// tier layout a [`crate::MergePolicy`] plans against.
-    #[must_use]
-    pub fn segment_layout(&self) -> crate::SegmentLayout {
-        crate::SegmentLayout {
-            segments: self.segments.iter().map(|s| s.entries.len()).collect(),
-            tombstones: self.dead.len(),
-            len: self.len,
-        }
     }
 
     /// Folds the listed sealed segments (indices into the current stack)
@@ -826,66 +730,6 @@ impl LshEnsemble {
         folded
     }
 
-    /// Folds every sealed segment back into the base and erases tombstoned
-    /// rows — the only O(corpus) mutation step, intended to run off the
-    /// commit path (background maintenance thread, `lshe compact`). Live
-    /// segment entries are routed to the base partition covering their
-    /// size with conservative boundary growth, exactly as a pre-segment
-    /// insert was.
-    pub fn compact(&mut self) {
-        if self.segments.is_empty() && self.dead.is_empty() {
-            return;
-        }
-        let mut touched = vec![false; self.partitions.len()];
-        for &(id, slot) in &self.dead {
-            if let DeadSlot::Base(p) = slot {
-                let removed = self.partitions[p as usize].forest.remove(id);
-                debug_assert!(
-                    removed,
-                    "tombstone pointed at a base partition without the id"
-                );
-                touched[p as usize] = true;
-            }
-        }
-        self.dead.clear();
-        let segments = std::mem::take(&mut self.segments);
-        for (j, seg) in segments.into_iter().enumerate() {
-            for (id, size, sig) in seg.entries {
-                // A retained entry is live only while the id map still points
-                // at this segment — removed or re-inserted ids moved on.
-                if self.ids.get(&id) != Some(&Slot::Seg(j as u32)) {
-                    continue;
-                }
-                if self.partitions.is_empty() {
-                    // Base built from an empty corpus: grow one partition
-                    // from scratch; min/max below fix the inverted bounds.
-                    self.partitions.push(EnsemblePartition {
-                        lower: u64::MAX,
-                        upper: 0,
-                        forest: LshForest::new(self.config.b_max, self.config.r_max),
-                    });
-                    touched.push(false);
-                }
-                let idx = self
-                    .partitions
-                    .iter()
-                    .position(|p| size <= p.upper)
-                    .unwrap_or(self.partitions.len() - 1);
-                let p = &mut self.partitions[idx];
-                p.upper = p.upper.max(size);
-                p.lower = p.lower.min(size);
-                p.forest.insert(id, &sig);
-                touched[idx] = true;
-                self.ids.insert(id, Slot::Base(idx as u32));
-            }
-        }
-        for (idx, t) in touched.into_iter().enumerate() {
-            if t {
-                self.partitions[idx].forest.commit();
-            }
-        }
-    }
-
     /// Partition internals for persistence: (lower, upper, forest).
     pub(crate) fn raw_partitions(&self) -> Vec<(u64, u64, &LshForest)> {
         self.partitions
@@ -959,57 +803,200 @@ impl LshEnsemble {
     }
 }
 
+impl CandidateIndex for LshEnsemble {
+    type Source<'a> = Sweep<'a>;
+
+    fn candidates(&self) -> Sweep<'_> {
+        self.sweep()
+    }
+
+    fn base_partition_stats(&self) -> Vec<PartitionStats> {
+        LshEnsemble::base_partition_stats(self)
+    }
+
+    fn rebuild(&self, ids: &[DomainId], sizes: &[u64], signatures: &[&Signature]) -> Self {
+        Self::build_from_parts(self.config, ids, sizes, signatures)
+    }
+}
+
 impl MutableIndex for LshEnsemble {
+    /// Stages one new domain.
     fn insert(
         &mut self,
         id: DomainId,
         size: u64,
         signature: &Signature,
     ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
+        if size == 0 {
+            return Err(MutationError::Invalid(
+                "domain size must be positive".into(),
+            ));
+        }
+        if signature.len() != self.config.num_perm {
+            return Err(MutationError::Invalid(format!(
+                "signature width mismatch: domain has {}, index expects {}",
+                signature.len(),
+                self.config.num_perm
+            )));
+        }
+        if self.ids.contains_key(&id) {
+            return Err(MutationError::DuplicateId(id));
+        }
+        if self.staged.entries.is_empty() {
+            self.staged.part.lower = size;
+            self.staged.part.upper = size;
+        } else {
+            self.staged.part.lower = self.staged.part.lower.min(size);
+            self.staged.part.upper = self.staged.part.upper.max(size);
+        }
+        self.staged.part.forest.insert(id, signature);
+        self.staged.entries.push((id, size, signature.clone()));
+        self.ids.insert(id, Slot::Staged);
+        self.len += 1;
+        Ok(())
     }
 
+    /// Removes one domain. Takes effect immediately for queries: a staged
+    /// id is dropped from the delta buffer physically, while an id living
+    /// in the base or in a sealed segment becomes a tombstone that is
+    /// filtered out of every candidate set until compaction erases the
+    /// underlying rows. Partition bounds are left as-is — a too-wide upper
+    /// bound only makes threshold conversion *more* conservative, never
+    /// less correct.
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
+        let Some(slot) = self.ids.get(&id).copied() else {
+            return Err(MutationError::UnknownId(id));
+        };
+        match slot {
+            Slot::Staged => {
+                let removed = self.staged.part.forest.remove(id);
+                debug_assert!(removed, "id map pointed at a staged delta without the id");
+                self.staged.entries.retain(|e| e.0 != id);
+                if self.staged.entries.is_empty() {
+                    // Drop the stale forest + bounds along with the last entry.
+                    self.staged = StagedDelta::new(self.config.b_max, self.config.r_max);
+                }
+            }
+            Slot::Base(p) => self.dead.push((id, DeadSlot::Base(p))),
+            Slot::Seg(s) => self.dead.push((id, DeadSlot::Seg(s))),
+        }
+        self.ids.remove(&id);
+        self.len -= 1;
+        Ok(())
     }
 
+    /// Seals the staged delta into an immutable segment (LSM-style
+    /// tiering): the delta is equi-depth-partitioned on its own and pushed
+    /// onto the segment stack, so the cost is O(staged delta), never
+    /// O(corpus).
     fn commit(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let sealed = LshEnsemble::commit(self);
+        let merged = self.staged.entries.len();
+        if merged > 0 {
+            let staged = std::mem::replace(
+                &mut self.staged,
+                StagedDelta::new(self.config.b_max, self.config.r_max),
+            );
+            let seg = self.segments.len() as u32;
+            for (id, _, _) in &staged.entries {
+                self.ids.insert(*id, Slot::Seg(seg));
+            }
+            self.segments
+                .push(build_segment(&self.config, staged.entries));
+        }
         // No retained sketches → no rebalance; boundary growth stays
         // conservative (§6.2) until a caller rebuilds from source data.
         CommitReport {
             merged,
             rebalanced: false,
-            sealed,
+            sealed: merged > 0,
             segments: self.segments.len(),
             tombstones: self.dead.len(),
         }
     }
 
+    fn staged_len(&self) -> usize {
+        self.staged.entries.len()
+    }
+
+    /// Seals, then folds every sealed segment back into the base and
+    /// erases tombstoned rows — the only O(corpus) mutation step, intended
+    /// to run off the commit path (background maintenance thread,
+    /// `lshe compact`). Live segment entries are routed to the base
+    /// partition covering their size with conservative boundary growth,
+    /// exactly as a pre-segment insert was.
     fn compact(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let sealed = LshEnsemble::commit(self);
-        LshEnsemble::compact(self);
+        let report = self.commit();
+        if self.segments.is_empty() && self.dead.is_empty() {
+            return report;
+        }
+        let mut touched = vec![false; self.partitions.len()];
+        for &(id, slot) in &self.dead {
+            if let DeadSlot::Base(p) = slot {
+                let removed = self.partitions[p as usize].forest.remove(id);
+                debug_assert!(
+                    removed,
+                    "tombstone pointed at a base partition without the id"
+                );
+                touched[p as usize] = true;
+            }
+        }
+        self.dead.clear();
+        let segments = std::mem::take(&mut self.segments);
+        for (j, seg) in segments.into_iter().enumerate() {
+            for (id, size, sig) in seg.entries {
+                // A retained entry is live only while the id map still points
+                // at this segment — removed or re-inserted ids moved on.
+                if self.ids.get(&id) != Some(&Slot::Seg(j as u32)) {
+                    continue;
+                }
+                if self.partitions.is_empty() {
+                    // Base built from an empty corpus: grow one partition
+                    // from scratch; min/max below fix the inverted bounds.
+                    self.partitions.push(EnsemblePartition {
+                        lower: u64::MAX,
+                        upper: 0,
+                        forest: LshForest::new(self.config.b_max, self.config.r_max),
+                    });
+                    touched.push(false);
+                }
+                let idx = self
+                    .partitions
+                    .iter()
+                    .position(|p| size <= p.upper)
+                    .unwrap_or(self.partitions.len() - 1);
+                let p = &mut self.partitions[idx];
+                p.upper = p.upper.max(size);
+                p.lower = p.lower.min(size);
+                p.forest.insert(id, &sig);
+                touched[idx] = true;
+                self.ids.insert(id, Slot::Base(idx as u32));
+            }
+        }
+        for (idx, t) in touched.into_iter().enumerate() {
+            if t {
+                self.partitions[idx].forest.commit();
+            }
+        }
         CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
             segments: 0,
             tombstones: 0,
+            ..report
         }
     }
 
-    fn staged_len(&self) -> usize {
-        LshEnsemble::staged_len(self)
-    }
-
-    fn segment_stats(&self) -> crate::api::SegmentStats {
-        LshEnsemble::segment_stats(self)
+    fn segment_stats(&self) -> SegmentStats {
+        SegmentStats {
+            segments: self.segments.len(),
+            tombstones: self.dead.len(),
+        }
     }
 
     fn segment_layout(&self) -> crate::SegmentLayout {
-        LshEnsemble::segment_layout(self)
+        crate::SegmentLayout {
+            segments: self.segments.iter().map(|s| s.entries.len()).collect(),
+            tombstones: self.dead.len(),
+            len: self.len,
+        }
     }
 
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
@@ -1018,12 +1005,11 @@ impl MutableIndex for LshEnsemble {
             crate::MergeTask::Full => {
                 let folded: usize = self.segments.iter().map(|s| s.entries.len()).sum::<usize>()
                     + self.staged.entries.len();
-                LshEnsemble::commit(self);
-                LshEnsemble::compact(self);
+                self.compact();
                 folded
             }
         };
-        let stats = LshEnsemble::segment_stats(self);
+        let stats = self.segment_stats();
         crate::MergeOutcome {
             entries_folded,
             segments: stats.segments,
@@ -1034,39 +1020,11 @@ impl MutableIndex for LshEnsemble {
 
 impl DomainIndex for LshEnsemble {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.config.num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)"
-                    .into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let (ids, probe) = self.sweep().query(
-            query.signature(),
-            query.effective_size(),
-            t_star,
-            query.parallel(),
-        );
-        Ok(outcome_from_ids(ids, probe, started))
+        crate::engine::search_unranked(&self.sweep(), query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.config.num_perm,
-            |items| {
-                self.sweep().batch_map(items, |_, ids, probe, nanos| {
-                    crate::api::outcome_from_ids_timed(ids, probe, nanos)
-                })
-            },
-            |_, _| {
-                Err(QueryError::Unsupported(
-                    "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)"
-                        .into(),
-                ))
-            },
-        )
+        crate::engine::search_batch_unranked(&self.sweep(), queries)
     }
 
     fn len(&self) -> usize {
@@ -1263,33 +1221,33 @@ mod tests {
         let mut ens = build_default(&entries, 4);
         let vals = MinHasher::synthetic_values(123, 64);
         let sig = h.signature(vals.iter().copied());
-        ens.try_insert(500, 64, &sig).expect("insert");
+        MutableIndex::insert(&mut ens, 500, 64, &sig).expect("insert");
         assert!(ens.contains(500));
         assert_eq!(ens.staged_len(), 1);
         // Duplicate insert is a typed error, not a second copy.
         assert_eq!(
-            ens.try_insert(500, 64, &sig),
+            MutableIndex::insert(&mut ens, 500, 64, &sig),
             Err(MutationError::DuplicateId(500))
         );
         // Invalid inputs are typed errors.
         assert!(matches!(
-            ens.try_insert(501, 0, &sig),
+            MutableIndex::insert(&mut ens, 501, 0, &sig),
             Err(MutationError::Invalid(_))
         ));
         let narrow = MinHasher::new(64).signature([1u64, 2]);
         assert!(matches!(
-            ens.try_insert(501, 2, &narrow),
+            MutableIndex::insert(&mut ens, 501, 2, &narrow),
             Err(MutationError::Invalid(_))
         ));
         // Removal takes effect immediately, pre-commit.
-        ens.try_remove(500).expect("remove staged");
+        ens.remove(500).expect("remove staged");
         assert!(!ens.contains(500));
         assert_eq!(ens.staged_len(), 0);
         assert!(!ens.query_with_size(&sig, 64, 0.9).contains(&500));
-        assert_eq!(ens.try_remove(500), Err(MutationError::UnknownId(500)));
+        assert_eq!(ens.remove(500), Err(MutationError::UnknownId(500)));
         // Removing a committed (built) domain works too.
         let (_, size, sig3, _) = &entries[3];
-        ens.try_remove(3).expect("remove built");
+        ens.remove(3).expect("remove built");
         assert_eq!(ens.len(), 19);
         assert!(!ens.query_with_size(sig3, *size, 1.0).contains(&3));
         // Neighbours survive.
@@ -1318,8 +1276,8 @@ mod tests {
         let ens = build_default(&entries, 2);
         let mut copy = ens.clone();
         let sig = h.signature(MinHasher::synthetic_values(77, 40));
-        copy.try_insert(900, 40, &sig).expect("insert");
-        copy.try_remove(0).expect("remove");
+        MutableIndex::insert(&mut copy, 900, 40, &sig).expect("insert");
+        copy.remove(0).expect("remove");
         assert_eq!(copy.len(), 10);
         assert_eq!(ens.len(), 10);
         assert!(ens.contains(0), "original mutated through clone");
@@ -1340,7 +1298,7 @@ mod tests {
         let (_, entries) = nested_corpus(256, 6);
         let mut ens = build_default(&entries, 2);
         for k in 0..6u32 {
-            ens.try_remove(k).expect("remove");
+            ens.remove(k).expect("remove");
         }
         assert!(ens.is_empty());
         assert_eq!(ens.len(), 0);

@@ -55,7 +55,8 @@
 //!   single-partition MinHash LSH and Asymmetric Minwise Hashing (global
 //!   and per-partition padding).
 //! * [`sharded`] — the in-process equivalent of the paper's 5-node cluster:
-//!   independent ensembles queried in parallel, answers unioned.
+//!   independent ensembles queried in parallel, answers unioned, every
+//!   domain placed by [`shard_of`].
 //! * [`cost`] — the false-positive cost model (Propositions 1–2) that backs
 //!   the optimal partitioner.
 
@@ -79,7 +80,7 @@ pub mod tuning;
 
 pub use api::{
     needs_compaction, CommitReport, DomainIndex, ForestIndex, MutableIndex, MutationError, Query,
-    QueryError, QueryMode, QueryStats, SearchHit, SearchOutcome, SegmentStats, ShardedRanked,
+    QueryError, QueryMode, QueryStats, SearchHit, SearchOutcome, SegmentStats,
     DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK, MAX_SEGMENTS, MAX_TOMBSTONE_RATIO,
 };
 pub use baselines::{
@@ -92,6 +93,6 @@ pub use maintenance::{
 };
 pub use mmap::{pack_ranked, pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};
 pub use partition::{Partition, PartitionStrategy, Partitioning};
-pub use ranked::{RankedHit, RankedIndex, RankedIndexBuilder};
-pub use sharded::{ShardedEnsemble, ShardedEnsembleBuilder};
+pub use ranked::{RankedHit, RankedIndex, RankedIndexBuilder, ShardedRanked};
+pub use sharded::{route, shard_of, ShardParts, ShardedEnsemble, ShardedEnsembleBuilder};
 pub use tuning::{TunedParams, Tuner};

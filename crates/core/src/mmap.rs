@@ -17,7 +17,7 @@
 //! backends side by side over identical corpora and checks that the
 //! answers, estimates and probe counters are equal.
 
-use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
+use crate::api::{DomainIndex, MutableIndex, Query, QueryError, SearchOutcome};
 use crate::engine::{Live, Ranked, Sketches, Sweep, Trees, Unit};
 use crate::ensemble::{segment_units, EnsembleConfig};
 use crate::ranked::RankedIndex;
@@ -639,13 +639,13 @@ mod tests {
         let (h, mut ranked, values) = sample(24);
         // Drift the corpus: remove a few built domains, add two batches of
         // fresh ones (two sealed segments), remove one sealed insert.
-        ranked.try_remove(3).expect("remove");
-        ranked.try_remove(17).expect("remove");
+        ranked.remove(3).expect("remove");
+        ranked.remove(17).expect("remove");
         for k in 0..5u32 {
             let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
             let sig = h.signature(vals.iter().copied());
             ranked
-                .try_insert(100 + k, vals.len() as u64, &sig)
+                .insert(100 + k, vals.len() as u64, &sig)
                 .expect("insert");
         }
         ranked.commit();
@@ -653,11 +653,11 @@ mod tests {
             let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
             let sig = h.signature(vals.iter().copied());
             ranked
-                .try_insert(100 + k, vals.len() as u64, &sig)
+                .insert(100 + k, vals.len() as u64, &sig)
                 .expect("insert");
         }
         ranked.commit();
-        ranked.try_remove(102).expect("remove sealed insert");
+        ranked.remove(102).expect("remove sealed insert");
         let stats = ranked.segment_stats();
         assert_eq!(stats.segments, 2);
         assert_eq!(stats.tombstones, 3);
@@ -712,9 +712,9 @@ mod tests {
             .chain(MinHasher::synthetic_values(777, 120))
             .collect();
         let fresh_sig = h.signature(fresh.iter().copied());
-        ranked.try_remove(5).expect("remove");
+        ranked.remove(5).expect("remove");
         ranked
-            .try_insert(5, fresh.len() as u64, &fresh_sig)
+            .insert(5, fresh.len() as u64, &fresh_sig)
             .expect("re-insert");
         ranked.commit();
         assert_eq!(ranked.segment_stats().tombstones, 1);

@@ -23,6 +23,7 @@
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
 //!
 //! [`build_segment`]: crate::ensemble
+use crate::api::MutableIndex;
 use crate::ensemble::{DeadSlot, EnsembleConfig, LshEnsemble};
 use crate::partition::PartitionStrategy;
 use lshe_lsh::{DomainId, LshForest};
@@ -189,7 +190,7 @@ impl LshEnsemble {
     /// # Panics
     /// Panics if staged inserts exist (they live outside the base forests
     /// and the segment stack, so serialising them here would silently drop
-    /// them) — call [`commit`](Self::commit) or use
+    /// them) — call [`MutableIndex::commit`] or use
     /// [`to_bytes`](Self::to_bytes).
     #[must_use]
     pub fn to_bytes_committed(&self) -> Vec<u8> {
@@ -381,11 +382,11 @@ mod tests {
     fn mutated_ensemble_roundtrips_with_id_routing_intact() {
         let (h, mut ens, entries) = sample_ensemble(24);
         // Mutate: remove a few built domains, add a fresh one.
-        ens.try_remove(3).expect("remove");
-        ens.try_remove(17).expect("remove");
+        ens.remove(3).expect("remove");
+        ens.remove(17).expect("remove");
         let vals = MinHasher::synthetic_values(321, 90);
         let sig = h.signature(vals.iter().copied());
-        ens.try_insert(777, 90, &sig).expect("insert");
+        MutableIndex::insert(&mut ens, 777, 90, &sig).expect("insert");
         let bytes = ens.to_bytes();
         let mut restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.len(), 23);
@@ -393,10 +394,10 @@ mod tests {
         assert!(!restored.contains(3) && !restored.contains(17));
         assert!(restored.contains(777));
         assert_eq!(
-            restored.try_insert(777, 90, &sig),
+            MutableIndex::insert(&mut restored, 777, 90, &sig),
             Err(crate::MutationError::DuplicateId(777))
         );
-        restored.try_remove(777).expect("remove decoded insert");
+        restored.remove(777).expect("remove decoded insert");
         assert!(!restored.query_with_size(&sig, 90, 0.9).contains(&777));
         let (_, size5, sig5) = &entries[5];
         assert!(restored.query_with_size(sig5, *size5, 1.0).contains(&5));
@@ -406,7 +407,7 @@ mod tests {
     fn fully_emptied_ensemble_roundtrips() {
         let (_, mut ens, _) = sample_ensemble(6);
         for k in 0..6u32 {
-            ens.try_remove(k).expect("remove");
+            ens.remove(k).expect("remove");
         }
         assert!(ens.is_empty());
         let bytes = ens.to_bytes();

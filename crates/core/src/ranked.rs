@@ -3,8 +3,9 @@
 //! §2 of the paper notes that the threshold and top-k formulations of
 //! domain search are "closely related and complementary": thresholds suit
 //! join discovery, but exploratory users often want *the k best domains*
-//! regardless of score. [`RankedIndex`] layers both over the ensemble by
-//! retaining each domain's signature and cardinality, which lets it
+//! regardless of score. [`RankedIndex`] layers both over a candidate
+//! index by retaining each domain's signature and cardinality, which lets
+//! it
 //!
 //! * rank candidates by their **estimated containment**
 //!   (`t̂ = (x/q + 1)·ŝ/(1 + ŝ)`, Eq. 6) instead of returning an unordered
@@ -13,6 +14,12 @@
 //!   candidates accumulate — reusing the tuned threshold machinery instead
 //!   of scanning the corpus.
 //!
+//! The wrapper is written once and wraps either candidate index: one
+//! [`LshEnsemble`], or the shards of the paper's §6.3 deployment
+//! ([`ShardedRanked`] is `RankedIndex<ShardedEnsemble>`). Both share the
+//! commit, compaction, rebalance and merge logic below, and a sharded view
+//! shares its source index's sketches without copying them.
+//!
 //! The cost is one retained signature per domain (`8·m` bytes); use the
 //! plain [`LshEnsemble`] when memory is tighter than ranking is valuable.
 
@@ -20,26 +27,39 @@ use crate::api::{
     CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
     SegmentStats, DEFAULT_REBALANCE_TRIGGER,
 };
-use crate::engine::{Ranked, Sketches, Sweep};
+use crate::engine::{CandidateIndex, Ranked, Sketches};
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
+use crate::sharded::ShardedEnsemble;
 use lshe_lsh::DomainId;
 use lshe_minhash::hash::FastHashMap;
 use lshe_minhash::Signature;
+use std::sync::Arc;
 
-/// A containment-search index that can rank its answers.
+/// id → (cardinality, signature), retained for estimation.
+type SketchMap = FastHashMap<DomainId, (u64, Signature)>;
+
+/// A containment-search index that can rank its answers: a candidate
+/// index (one [`LshEnsemble`] by default) plus every domain's retained
+/// sketch.
 #[derive(Debug, Clone)]
-pub struct RankedIndex {
-    ensemble: LshEnsemble,
-    /// id → (cardinality, signature); retained for estimation.
-    sketches: FastHashMap<DomainId, (u64, Signature)>,
+pub struct RankedIndex<I = LshEnsemble> {
+    inner: I,
+    /// Shared copy-on-write: a sharded view of this index and the index
+    /// itself hold the same map until one of them mutates.
+    sketches: Arc<SketchMap>,
     /// Equi-depth skew multiple past which a commit rebuilds the
     /// partitioning from the retained sketches.
     rebalance_trigger: f64,
 }
 
+/// The paper's §6.3 fan-out/union topology *with* containment estimates
+/// and top-k: a [`RankedIndex`] over a [`ShardedEnsemble`], the backend
+/// the server uses for `--shards N`.
+pub type ShardedRanked = RankedIndex<ShardedEnsemble>;
+
 /// True when the fullest partition holds more than `trigger` times the
 /// mean partition population — the §6.2 drift point where a rebuild pays.
-pub(crate) fn skew_exceeds(stats: &[PartitionStats], len: usize, trigger: f64) -> bool {
+fn skew_exceeds(stats: &[PartitionStats], len: usize, trigger: f64) -> bool {
     if len == 0 || stats.is_empty() {
         return false;
     }
@@ -47,11 +67,32 @@ pub(crate) fn skew_exceeds(stats: &[PartitionStats], len: usize, trigger: f64) -
     (max * stats.len()) as f64 > trigger * len as f64
 }
 
+/// Every retained sketch as `(id, size, signature)`, sorted by id.
+fn sorted_entries(sketches: &SketchMap) -> Vec<(DomainId, u64, &Signature)> {
+    let mut entries: Vec<(DomainId, u64, &Signature)> = sketches
+        .iter()
+        .map(|(&id, (size, sig))| (id, *size, sig))
+        .collect();
+    entries.sort_unstable_by_key(|&(id, _, _)| id);
+    entries
+}
+
+/// [`sorted_entries`] as the parallel arrays every `build_from_parts`
+/// takes, so rebuilds are deterministic.
+fn sorted_parts(sketches: &SketchMap) -> (Vec<DomainId>, Vec<u64>, Vec<&Signature>) {
+    let entries = sorted_entries(sketches);
+    (
+        entries.iter().map(|e| e.0).collect(),
+        entries.iter().map(|e| e.1).collect(),
+        entries.iter().map(|e| e.2).collect(),
+    )
+}
+
 /// Builder for [`RankedIndex`].
 #[derive(Debug)]
 pub struct RankedIndexBuilder {
     inner: LshEnsembleBuilder,
-    sketches: FastHashMap<DomainId, (u64, Signature)>,
+    sketches: SketchMap,
 }
 
 impl RankedIndexBuilder {
@@ -94,8 +135,8 @@ impl RankedIndexBuilder {
     #[must_use]
     pub fn build(self) -> RankedIndex {
         RankedIndex {
-            ensemble: self.inner.build(),
-            sketches: self.sketches,
+            inner: self.inner.build(),
+            sketches: Arc::new(self.sketches),
             rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
         }
     }
@@ -123,58 +164,6 @@ impl RankedIndex {
         RankedIndexBuilder::new(config)
     }
 
-    /// Number of indexed domains.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sketches.len()
-    }
-
-    /// True if nothing is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty()
-    }
-
-    /// The underlying ensemble (for stats and unranked queries).
-    #[must_use]
-    pub fn ensemble(&self) -> &LshEnsemble {
-        &self.ensemble
-    }
-
-    /// The retained (cardinality, signature) sketch of a domain, if indexed.
-    #[must_use]
-    pub fn sketch(&self, id: DomainId) -> Option<(u64, &Signature)> {
-        self.sketches.get(&id).map(|(size, sig)| (*size, sig))
-    }
-
-    /// Every retained sketch as `(id, size, signature)`, sorted by id —
-    /// the deterministic bulk view sharded rebuilds use.
-    #[must_use]
-    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, &Signature)> {
-        let mut out: Vec<(DomainId, u64, &Signature)> = self
-            .sketches
-            .iter()
-            .map(|(&id, (size, sig))| (id, *size, sig))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _, _)| id);
-        out
-    }
-
-    /// Approximate heap memory of the retained sketches alone, in bytes.
-    #[must_use]
-    pub fn sketch_memory_bytes(&self) -> usize {
-        self.sketches
-            .values()
-            .map(|(_, sig)| sig.len() * 8 + 32)
-            .sum()
-    }
-
-    /// Approximate heap memory of the whole index (ensemble + sketches).
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.ensemble.memory_bytes() + self.sketch_memory_bytes()
-    }
-
     /// Reassembles a ranked index from an already-built ensemble and its
     /// retained sketches — the persistence path, which avoids rebuilding
     /// every partition forest from scratch on load.
@@ -187,7 +176,7 @@ impl RankedIndex {
         ensemble: LshEnsemble,
         sketches: impl IntoIterator<Item = (DomainId, u64, Signature)>,
     ) -> Self {
-        let mut map: FastHashMap<DomainId, (u64, Signature)> = FastHashMap::default();
+        let mut map = SketchMap::default();
         for (id, size, sig) in sketches {
             assert!(size > 0, "domain size must be positive");
             let prev = map.insert(id, (size, sig));
@@ -199,10 +188,78 @@ impl RankedIndex {
             "sketch count disagrees with ensemble"
         );
         Self {
-            ensemble,
-            sketches: map,
+            inner: ensemble,
+            sketches: Arc::new(map),
             rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
         }
+    }
+}
+
+impl ShardedRanked {
+    /// Fans a ranked index's domains out across `num_shards` freshly built
+    /// shards, each placed by [`shard_of`](crate::shard_of). The sketches
+    /// are shared with `ranked`, not copied; the shards borrow them while
+    /// they build. A shard whose residue class holds no live id starts
+    /// empty.
+    ///
+    /// # Panics
+    /// Panics if `num_shards == 0`.
+    #[must_use]
+    pub fn build(ranked: &RankedIndex, num_shards: usize, config: EnsembleConfig) -> Self {
+        let (ids, sizes, sigs) = sorted_parts(&ranked.sketches);
+        Self {
+            inner: ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &sigs),
+            sketches: Arc::clone(&ranked.sketches),
+            rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
+        }
+    }
+}
+
+impl<I> RankedIndex<I> {
+    /// Number of indexed domains.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.sketches.len()
+    }
+
+    /// True if nothing is indexed.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.sketches.is_empty()
+    }
+
+    /// The wrapped candidate index (for stats and unranked queries).
+    #[must_use]
+    pub fn ensemble(&self) -> &I {
+        &self.inner
+    }
+
+    /// True if `id` is currently indexed.
+    #[must_use]
+    pub fn contains(&self, id: DomainId) -> bool {
+        self.sketches.contains_key(&id)
+    }
+
+    /// The retained (cardinality, signature) sketch of a domain, if indexed.
+    #[must_use]
+    pub fn sketch(&self, id: DomainId) -> Option<(u64, &Signature)> {
+        self.sketches.get(&id).map(|(size, sig)| (*size, sig))
+    }
+
+    /// Every retained sketch as `(id, size, signature)`, sorted by id —
+    /// the deterministic bulk view packing and splitting use.
+    #[must_use]
+    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, &Signature)> {
+        sorted_entries(&self.sketches)
+    }
+
+    /// Approximate heap memory of the retained sketches alone, in bytes.
+    #[must_use]
+    pub fn sketch_memory_bytes(&self) -> usize {
+        self.sketches
+            .values()
+            .map(|(_, sig)| sig.len() * 8 + 32)
+            .sum()
     }
 
     /// The configured equi-depth rebalance trigger (see
@@ -212,172 +269,38 @@ impl RankedIndex {
         self.rebalance_trigger
     }
 
-    /// Sets the skew multiple past which [`commit`](Self::commit) rebuilds
-    /// the equi-depth partitioning from the retained sketches. Values
-    /// ≤ 1.0 rebalance on every commit that follows a mutation; the
+    /// Sets the skew multiple past which a commit rebuilds the equi-depth
+    /// partitioning (and, sharded, the shards) from the retained sketches.
+    /// Values ≤ 1.0 rebalance on every commit that follows a mutation; the
     /// default is [`DEFAULT_REBALANCE_TRIGGER`].
     pub fn set_rebalance_trigger(&mut self, trigger: f64) {
         self.rebalance_trigger = trigger;
     }
+}
 
-    /// Typed insert: stages the domain in the ensemble and retains its
-    /// sketch. Immediately queryable (including estimates).
-    ///
-    /// # Errors
-    /// As [`LshEnsemble::try_insert`].
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.ensemble.try_insert(id, size, signature)?;
-        self.sketches.insert(id, (size, signature.clone()));
-        Ok(())
+/// Replaces the candidate index with a fresh build from the retained
+/// sketches, restoring the exact freshly-built layout and dropping every
+/// segment and tombstone. Returns `false` (doing nothing) when the index
+/// is empty — there is nothing to build from.
+fn rebuild_from_sketches<I: CandidateIndex>(index: &mut RankedIndex<I>) -> bool {
+    if index.sketches.is_empty() {
+        return false;
     }
+    let (ids, sizes, sigs) = sorted_parts(&index.sketches);
+    index.inner = index.inner.rebuild(&ids, &sizes, &sigs);
+    true
+}
 
-    /// Typed removal: drops the domain from the ensemble and its retained
-    /// sketch. Takes effect immediately.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.ensemble.try_remove(id)?;
-        self.sketches.remove(&id);
-        Ok(())
+/// The query engine over an index: the candidate index's sweep, ranked
+/// from the retained sketches.
+fn engine<I: CandidateIndex>(index: &RankedIndex<I>) -> Ranked<'_, I::Source<'_>> {
+    Ranked {
+        candidates: index.inner.candidates(),
+        sketches: Sketches::Heap(&index.sketches),
     }
+}
 
-    /// True if `id` is currently indexed.
-    #[must_use]
-    pub fn contains(&self, id: DomainId) -> bool {
-        self.sketches.contains_key(&id)
-    }
-
-    /// Number of staged (uncommitted) inserts.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.ensemble.staged_len()
-    }
-
-    /// Seals the staged delta into an immutable segment (O(staged delta))
-    /// and — because this index retains every sketch — rebuilds the
-    /// equi-depth partitioning from scratch when drift passed the
-    /// configured trigger, restoring the exact freshly-built layout
-    /// (§6.2's remedy, automated). The rebuild also folds outstanding
-    /// segments and erases tombstones, since it starts from the live
-    /// sketch set.
-    pub fn commit(&mut self) -> CommitReport {
-        let merged = self.ensemble.staged_len();
-        let sealed = self.ensemble.commit();
-        let rebalanced = self.maybe_rebalance();
-        let stats = self.ensemble.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced,
-            sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Forces the O(corpus) merge: seals any staged delta, then rebuilds
-    /// the partitioning from the retained sketches (the same path a
-    /// triggered rebalance takes), leaving zero outstanding segments and
-    /// tombstones.
-    pub fn compact(&mut self) -> CommitReport {
-        let merged = self.ensemble.staged_len();
-        let sealed = self.ensemble.commit();
-        if !self.rebuild_from_sketches() {
-            // Degenerate corpus (emptied index): fold in place instead.
-            self.ensemble.compact();
-        }
-        let stats = self.ensemble.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: true,
-            sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Outstanding segments/tombstones on the inner ensemble.
-    #[must_use]
-    pub fn segment_stats(&self) -> SegmentStats {
-        self.ensemble.segment_stats()
-    }
-
-    /// The inner ensemble's tier layout, for merge planning.
-    #[must_use]
-    pub fn segment_layout(&self) -> crate::SegmentLayout {
-        self.ensemble.segment_layout()
-    }
-
-    /// Folds the listed sealed segments into one new segment on the inner
-    /// ensemble — O(folded entries). The retained sketches track live ids
-    /// and are unaffected (a partial merge neither adds nor removes
-    /// domains). Returns the number of live entries folded.
-    pub fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
-        self.ensemble.merge_segments(segment_indices)
-    }
-
-    /// Rebuilds the inner ensemble from the retained sketches when the
-    /// BASE partition-population skew exceeds the trigger. Segment and
-    /// staged tiers are excluded from the metric: they are transient by
-    /// design, and counting them would turn a routine stack of sealed
-    /// segments into fake drift — putting the O(corpus) rebuild back on
-    /// the commit path the tiering exists to protect.
-    fn maybe_rebalance(&mut self) -> bool {
-        if !skew_exceeds(
-            &self.ensemble.base_partition_stats(),
-            self.ensemble.len(),
-            self.rebalance_trigger,
-        ) {
-            return false;
-        }
-        self.rebuild_from_sketches()
-    }
-
-    /// Rebuilds the inner ensemble from the retained sketches, restoring
-    /// the exact freshly-built layout. Returns `false` (doing nothing)
-    /// when the index is empty — `build_from_parts` needs at least one
-    /// domain.
-    fn rebuild_from_sketches(&mut self) -> bool {
-        if self.sketches.is_empty() {
-            return false;
-        }
-        let config = *self.ensemble.config();
-        // Borrow only the sketches field so the finished ensemble can be
-        // swapped in while the borrowed signatures are still alive.
-        let mut entries: Vec<(DomainId, u64, &Signature)> = self
-            .sketches
-            .iter()
-            .map(|(&id, (size, sig))| (id, *size, sig))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _, _)| id);
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-        let rebuilt = LshEnsemble::build_from_parts(config, &ids, &sizes, &sigs);
-        drop((entries, ids, sizes, sigs));
-        self.ensemble = rebuilt;
-        true
-    }
-
-    /// The query engine over this index: the ensemble's sweep, ranked
-    /// from the retained sketches.
-    fn engine(&self) -> Ranked<'_, Sweep<'_>> {
-        Ranked {
-            candidates: self.ensemble.sweep(),
-            sketches: self.sketch_source(),
-        }
-    }
-
-    /// The retained sketches as the query engine reads them.
-    pub(crate) fn sketch_source(&self) -> Sketches<'_> {
-        Sketches::Heap(&self.sketches)
-    }
-
+impl RankedIndex {
     /// Threshold search with ranked output: candidates at `t_star`, sorted
     /// by estimated containment (descending), with candidates whose
     /// *estimate* falls below `t_star − slack` pruned. A small slack keeps
@@ -393,7 +316,7 @@ impl RankedIndex {
         t_star: f64,
         slack: f64,
     ) -> Vec<RankedHit> {
-        self.engine()
+        engine(self)
             .threshold(signature, query_size, t_star, slack, false)
             .0
     }
@@ -406,83 +329,123 @@ impl RankedIndex {
     /// Panics if `k == 0`, plus the usual query validation.
     #[must_use]
     pub fn query_top_k(&self, signature: &Signature, query_size: u64, k: usize) -> Vec<RankedHit> {
-        self.engine().top_k(signature, query_size, k, false).0
+        engine(self).top_k(signature, query_size, k, false).0
     }
 }
 
-impl MutableIndex for RankedIndex {
+/// Inserts and removes keep the retained sketches in step with the
+/// candidate index (copy-on-write: a shared sketch map is cloned on the
+/// first mutation). Commit seals the staged delta — O(staged delta) — and,
+/// because every sketch is retained, rebuilds the whole index from
+/// scratch when the BASE partition-population skew passed the trigger
+/// (§6.2's remedy, automated); compaction always rebuilds. Segment and
+/// staged tiers are excluded from the drift metric: they are transient by
+/// design, and counting them would turn a routine stack of sealed segments
+/// into fake drift — putting the O(corpus) rebuild back on the commit path
+/// the tiering exists to protect.
+impl<I: CandidateIndex> MutableIndex for RankedIndex<I> {
     fn insert(
         &mut self,
         id: DomainId,
         size: u64,
         signature: &Signature,
     ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
+        self.inner.insert(id, size, signature)?;
+        Arc::make_mut(&mut self.sketches).insert(id, (size, signature.clone()));
+        Ok(())
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
+        self.inner.remove(id)?;
+        Arc::make_mut(&mut self.sketches).remove(&id);
+        Ok(())
     }
 
     fn commit(&mut self) -> CommitReport {
-        RankedIndex::commit(self)
+        let report = self.inner.commit();
+        let drifted = skew_exceeds(
+            &self.inner.base_partition_stats(),
+            self.inner.len(),
+            self.rebalance_trigger,
+        );
+        if !(drifted && rebuild_from_sketches(self)) {
+            return report;
+        }
+        CommitReport {
+            rebalanced: true,
+            segments: 0,
+            tombstones: 0,
+            ..report
+        }
     }
 
     fn staged_len(&self) -> usize {
-        RankedIndex::staged_len(self)
+        self.inner.staged_len()
     }
 
+    /// Seals any staged delta, then rebuilds from the retained sketches —
+    /// the same path a triggered rebalance takes — leaving zero segments
+    /// and tombstones. An emptied index has nothing to rebuild from, so
+    /// its candidate index folds in place instead.
     fn compact(&mut self) -> CommitReport {
-        RankedIndex::compact(self)
+        let report = self.inner.commit();
+        let rebalanced = rebuild_from_sketches(self);
+        if !rebalanced {
+            self.inner.compact();
+        }
+        CommitReport {
+            rebalanced,
+            segments: 0,
+            tombstones: 0,
+            ..report
+        }
     }
 
     fn segment_stats(&self) -> SegmentStats {
-        RankedIndex::segment_stats(self)
+        self.inner.segment_stats()
     }
 
     fn segment_layout(&self) -> crate::SegmentLayout {
-        RankedIndex::segment_layout(self)
+        self.inner.segment_layout()
     }
 
+    /// A partial merge folds segments of the candidate index (the sketches
+    /// track live ids, which a partial merge neither adds nor removes); a
+    /// full fold is a compaction, which rewrites every live entry.
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
-            crate::MergeTask::Full => {
-                // The full fold rebuilds from the retained sketches, so
-                // every live entry is rewritten.
-                let folded = self.ensemble.len();
-                RankedIndex::compact(self);
-                folded
-            }
-        };
-        let stats = self.segment_stats();
+        if let crate::MergeTask::Merge(_) = task {
+            return self.inner.apply_merge(task);
+        }
+        let entries_folded = self.len();
+        let report = self.compact();
         crate::MergeOutcome {
             entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
+            segments: report.segments,
+            tombstones: report.tombstones,
         }
     }
 }
 
-impl DomainIndex for RankedIndex {
+impl<I: CandidateIndex> DomainIndex for RankedIndex<I> {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.engine().search(query)
+        engine(self).search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        self.engine().search_batch(queries)
+        engine(self).search_batch(queries)
     }
 
     fn len(&self) -> usize {
         self.sketches.len()
     }
 
+    /// The candidate index plus the retained sketches.
     fn memory_bytes(&self) -> usize {
-        RankedIndex::memory_bytes(self)
+        self.inner.memory_bytes() + self.sketch_memory_bytes()
     }
 
     fn describe(&self) -> String {
-        format!("Ranked {}", DomainIndex::describe(&self.ensemble))
+        format!("Ranked {}", self.inner.describe())
     }
 }
 
@@ -619,7 +582,7 @@ mod tests {
         let (h, mut idx, values) = index(15);
         let vals = MinHasher::synthetic_values(444, 120);
         let sig = h.signature(vals.iter().copied());
-        idx.try_insert(600, 120, &sig).expect("insert");
+        idx.insert(600, 120, &sig).expect("insert");
         assert!(idx.contains(600));
         assert_eq!(idx.staged_len(), 1);
         // Staged insert is queryable WITH an estimate (self t̂ = 1).
@@ -628,15 +591,15 @@ mod tests {
         assert!((own.estimated_containment - 1.0).abs() < 1e-9);
         // Duplicate → typed error; sketch map untouched.
         assert_eq!(
-            idx.try_insert(600, 120, &sig),
+            idx.insert(600, 120, &sig),
             Err(MutationError::DuplicateId(600))
         );
         assert_eq!(idx.len(), 16);
         // Removal drops the sketch too.
-        idx.try_remove(600).expect("remove");
+        idx.remove(600).expect("remove");
         assert!(!idx.contains(600));
         assert!(idx.sketch(600).is_none());
-        assert_eq!(idx.try_remove(600), Err(MutationError::UnknownId(600)));
+        assert_eq!(idx.remove(600), Err(MutationError::UnknownId(600)));
         // Existing domains unaffected.
         let q = h.signature(values[4].iter().copied());
         assert!(idx
@@ -654,7 +617,7 @@ mod tests {
         // flood. Only compaction pays the rebuild.
         for i in 0..64u32 {
             let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 10);
-            idx.try_insert(1_000 + i, 10, &h.signature(vals.iter().copied()))
+            idx.insert(1_000 + i, 10, &h.signature(vals.iter().copied()))
                 .expect("insert");
         }
         idx.set_rebalance_trigger(1.0);
@@ -696,7 +659,7 @@ mod tests {
     fn commit_below_trigger_keeps_layout() {
         let (h, mut idx, _) = index(16);
         let sig = h.signature(MinHasher::synthetic_values(1, 50));
-        idx.try_insert(999, 50, &sig).expect("insert");
+        idx.insert(999, 50, &sig).expect("insert");
         idx.set_rebalance_trigger(1_000.0);
         let before = idx.ensemble().partition_stats();
         let report = idx.commit();
@@ -720,6 +683,128 @@ mod tests {
         let (h, idx, values) = index(5);
         let q = h.signature(values[0].iter().copied());
         let _ = idx.query_top_k(&q, values[0].len() as u64, 0);
+    }
+
+    fn nested(n: usize) -> (MinHasher, Vec<(DomainId, u64, Signature)>) {
+        let h = MinHasher::new(256);
+        let pool = MinHasher::synthetic_values(5, 25 * n);
+        let entries = (0..n)
+            .map(|k| {
+                let vals = &pool[..25 * (k + 1)];
+                (
+                    k as DomainId,
+                    vals.len() as u64,
+                    h.signature(vals.iter().copied()),
+                )
+            })
+            .collect();
+        (h, entries)
+    }
+
+    fn config(parts: usize) -> EnsembleConfig {
+        EnsembleConfig {
+            strategy: PartitionStrategy::EquiDepth { n: parts },
+            ..EnsembleConfig::default()
+        }
+    }
+
+    #[test]
+    fn sharded_ranked_threshold_and_topk() {
+        let (_, entries) = nested(24);
+        let mut b = RankedIndexBuilder::new(config(4));
+        for (id, size, sig) in &entries {
+            b.add(*id, *size, sig.clone());
+        }
+        let ranked = Arc::new(b.build());
+        let idx = ShardedRanked::build(&ranked, 3, config(2));
+        assert_eq!(idx.ensemble().num_shards(), 3);
+        assert_eq!(DomainIndex::len(&idx), 24);
+
+        let (_, size, sig) = &entries[7];
+        let out = idx
+            .search(&Query::threshold(sig, 0.8).with_size(*size))
+            .expect("search");
+        assert!(out.hits.iter().any(|h| h.id == 7), "self hit missing");
+        for h in &out.hits {
+            let e = h.estimate.expect("sharded-ranked attaches estimates");
+            assert!((0.0..=1.0).contains(&e));
+        }
+        for w in out.hits.windows(2) {
+            assert!(w[0].estimate >= w[1].estimate, "not sorted by estimate");
+        }
+        assert!(out.stats.partitions_probed <= out.stats.partitions_total);
+
+        let top = idx
+            .search(&Query::top_k(sig, 5).with_size(*size))
+            .expect("topk");
+        assert_eq!(top.hits.len(), 5);
+        assert_eq!(top.hits[0].id, 7, "self match must rank first");
+    }
+
+    #[test]
+    fn sharded_ranked_mutation_is_cow_and_rebalances() {
+        let (h, entries) = nested(24);
+        let mut b = RankedIndexBuilder::new(config(4));
+        for (id, size, sig) in &entries {
+            b.add(*id, *size, sig.clone());
+        }
+        let ranked = Arc::new(b.build());
+        let mut idx = ShardedRanked::build(&ranked, 3, config(2));
+        assert!(
+            Arc::ptr_eq(&idx.sketches, &ranked.sketches),
+            "a sharded view must share its source's sketches"
+        );
+
+        // Insert + remove through the trait; the shared ranked index must
+        // stay untouched (copy-on-write).
+        let vals = MinHasher::synthetic_values(31, 75);
+        let sig = h.signature(vals.iter().copied());
+        MutableIndex::insert(&mut idx, 400, 75, &sig).expect("insert");
+        assert!(idx.contains(400));
+        assert!(!ranked.contains(400), "shared Arc mutated in place");
+        MutableIndex::remove(&mut idx, 2).expect("remove");
+        assert!(ranked.contains(2), "shared Arc mutated in place");
+        assert_eq!(idx.len(), 24);
+
+        // Staged insert immediately visible with an estimate.
+        let out = idx
+            .search(&Query::threshold(&sig, 0.9).with_size(75))
+            .expect("search");
+        let own = out.hits.iter().find(|hh| hh.id == 400).expect("self hit");
+        assert!(own.estimate.expect("estimate") > 0.9);
+
+        // Typed duplicate/unknown errors.
+        assert_eq!(
+            idx.insert(400, 75, &sig),
+            Err(MutationError::DuplicateId(400))
+        );
+        assert_eq!(idx.remove(2), Err(MutationError::UnknownId(2)));
+
+        // Forced rebalance reproduces a fresh build on the final corpus.
+        idx.set_rebalance_trigger(0.0);
+        let report = MutableIndex::commit(&mut idx);
+        assert_eq!(report.merged, 1);
+        assert!(report.rebalanced);
+        assert_eq!(MutableIndex::staged_len(&idx), 0);
+        let fresh = {
+            let mut b = RankedIndexBuilder::new(config(4));
+            for (id, size, sig) in &entries {
+                if *id != 2 {
+                    b.add(*id, *size, sig.clone());
+                }
+            }
+            b.add(400, 75, h.signature(vals.iter().copied()));
+            ShardedRanked::build(&b.build(), 3, config(2))
+        };
+        for (qid, qsize, qsig) in entries.iter().filter(|(id, _, _)| *id != 2) {
+            let a = idx
+                .search(&Query::threshold(qsig, 0.7).with_size(*qsize))
+                .expect("mutated");
+            let b = fresh
+                .search(&Query::threshold(qsig, 0.7).with_size(*qsize))
+                .expect("fresh");
+            assert_eq!(a.hits, b.hits, "divergence at query {qid}");
+        }
     }
 
     #[test]

@@ -6,16 +6,56 @@
 //! unions the answers. [`ShardedEnsemble`] reproduces that topology with
 //! one shard per thread: the exact same partition → shard → union code
 //! path, minus the network.
+//!
+//! Every layer places a domain by one rule, [`shard_of`]: the builders,
+//! live inserts and removes, every rebuild, `lshe split` and the cluster
+//! coordinator. So an in-process shard and a split-out shard file hold
+//! the same domains after any mutation history, not just on fresh builds.
 
 use crate::api::{
-    outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query,
-    QueryError, QueryMode, SearchOutcome, SegmentStats,
+    CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query, QueryError,
+    SearchOutcome, SegmentStats,
 };
 use crate::batch::ThresholdItem;
-use crate::engine::Candidates;
-use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
+use crate::engine::{CandidateIndex, Candidates};
+use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
+
+/// The shard that owns domain `id` in a `num_shards`-way topology.
+///
+/// # Panics
+/// Panics if `num_shards == 0`.
+#[must_use]
+pub fn shard_of(id: DomainId, num_shards: usize) -> usize {
+    assert!(num_shards > 0, "need at least one shard");
+    id as usize % num_shards
+}
+
+/// One shard's domains as parallel arrays: ids, sizes and borrowed
+/// signatures.
+pub type ShardParts<'a> = (Vec<DomainId>, Vec<u64>, Vec<&'a Signature>);
+
+/// Routes `(id, size, signature)` entries to shard `place(id, num_shards)`,
+/// keeping their order within each shard — the one routing loop behind
+/// every sharded build and every split.
+///
+/// # Errors
+/// The first id `place` routes past the last shard.
+pub fn route<'a>(
+    entries: impl IntoIterator<Item = (DomainId, u64, &'a Signature)>,
+    num_shards: usize,
+    place: impl Fn(DomainId, usize) -> usize,
+) -> Result<Vec<ShardParts<'a>>, DomainId> {
+    let mut parts: Vec<ShardParts<'a>> = (0..num_shards).map(|_| Default::default()).collect();
+    for (id, size, sig) in entries {
+        let part = parts.get_mut(place(id, num_shards)).ok_or(id)?;
+        part.0.push(id);
+        part.1.push(size);
+        part.2.push(sig);
+    }
+    Ok(parts)
+}
 
 /// A set of independently built LSH Ensembles queried in parallel.
 #[derive(Debug, Clone)]
@@ -23,12 +63,12 @@ pub struct ShardedEnsemble {
     shards: Vec<LshEnsemble>,
 }
 
-/// Builder assigning staged domains round-robin across `k` shards (the
-/// paper's "divided the domains into 5 equal chunks").
+/// Builder placing staged domains on `k` shards by [`shard_of`] — for
+/// dense ids, the paper's "divided the domains into 5 equal chunks".
 #[derive(Debug)]
 pub struct ShardedEnsembleBuilder {
-    builders: Vec<LshEnsembleBuilder>,
-    next: usize,
+    num_shards: usize,
+    staged: LshEnsembleBuilder,
 }
 
 impl ShardedEnsembleBuilder {
@@ -40,23 +80,21 @@ impl ShardedEnsembleBuilder {
     pub fn new(num_shards: usize, config: EnsembleConfig) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         Self {
-            builders: (0..num_shards)
-                .map(|_| LshEnsembleBuilder::new(config))
-                .collect(),
-            next: 0,
+            num_shards,
+            staged: LshEnsembleBuilder::new(config),
         }
     }
 
-    /// Stages a domain on the next shard (round-robin).
+    /// Stages a domain; [`build`](Self::build) places it on the shard that
+    /// owns its id.
     pub fn add(&mut self, id: DomainId, size: u64, signature: Signature) {
-        self.builders[self.next].add(id, size, signature);
-        self.next = (self.next + 1) % self.builders.len();
+        self.staged.add(id, size, signature);
     }
 
     /// Total staged domains across shards.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.builders.iter().map(LshEnsembleBuilder::len).sum()
+        self.staged.len()
     }
 
     /// True if nothing is staged.
@@ -65,25 +103,14 @@ impl ShardedEnsembleBuilder {
         self.len() == 0
     }
 
-    /// Builds every shard concurrently.
-    ///
-    /// # Panics
-    /// Panics if any shard received no domains (add more domains or fewer
-    /// shards).
+    /// Builds every shard concurrently, as
+    /// [`ShardedEnsemble::build_from_parts`].
     #[must_use]
     pub fn build(self) -> ShardedEnsemble {
-        let shards: Vec<LshEnsemble> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .builders
-                .into_iter()
-                .map(|b| scope.spawn(move || b.build()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build panicked"))
-                .collect()
-        });
-        ShardedEnsemble { shards }
+        let num_shards = self.num_shards;
+        self.staged.build_with(|config, ids, sizes, sigs| {
+            ShardedEnsemble::build_from_parts(num_shards, config, ids, sizes, sigs)
+        })
     }
 }
 
@@ -94,13 +121,14 @@ impl ShardedEnsemble {
         ShardedEnsembleBuilder::new(num_shards, config)
     }
 
-    /// Zero-copy bulk load: round-robins the parallel arrays across
-    /// `num_shards` shards and builds all shards concurrently, without
-    /// cloning any signature (the cluster-scale path).
+    /// Zero-copy bulk load: places the parallel arrays on `num_shards`
+    /// shards by [`shard_of`] (keeping their order within each shard) and
+    /// builds all shards concurrently, without cloning any signature (the
+    /// cluster-scale path). A shard that owns no domain starts empty, with
+    /// no partitions, and fills from inserts like any other.
     ///
     /// # Panics
-    /// Panics if `num_shards == 0`, fewer domains than shards are supplied,
-    /// or the array lengths differ.
+    /// Panics if `num_shards == 0` or the array lengths differ.
     #[must_use]
     pub fn build_from_parts(
         num_shards: usize,
@@ -111,36 +139,25 @@ impl ShardedEnsemble {
     ) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         assert!(
-            ids.len() >= num_shards,
-            "need at least one domain per shard"
-        );
-        assert!(
             ids.len() == sizes.len() && ids.len() == signatures.len(),
             "parallel arrays must have equal lengths"
         );
+        let entries = ids
+            .iter()
+            .zip(sizes)
+            .zip(signatures)
+            .map(|((&id, &size), &sig)| (id, size, sig));
+        let parts = route(entries, num_shards, shard_of).expect("shard_of stays in range");
         let shards: Vec<LshEnsemble> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_shards)
-                .map(|shard| {
+            let handles: Vec<_> = parts
+                .iter()
+                .map(|(ids, sizes, sigs)| {
                     scope.spawn(move || {
-                        let shard_ids: Vec<DomainId> = ids
-                            .iter()
-                            .skip(shard)
-                            .step_by(num_shards)
-                            .copied()
-                            .collect();
-                        let shard_sizes: Vec<u64> = sizes
-                            .iter()
-                            .skip(shard)
-                            .step_by(num_shards)
-                            .copied()
-                            .collect();
-                        let shard_sigs: Vec<&Signature> = signatures
-                            .iter()
-                            .skip(shard)
-                            .step_by(num_shards)
-                            .copied()
-                            .collect();
-                        LshEnsemble::build_from_parts(config, &shard_ids, &shard_sizes, &shard_sigs)
+                        if ids.is_empty() {
+                            LshEnsemble::empty(config)
+                        } else {
+                            LshEnsemble::build_from_parts(config, ids, sizes, sigs)
+                        }
                     })
                 })
                 .collect();
@@ -197,133 +214,30 @@ impl ShardedEnsemble {
         self.shards.iter().map(LshEnsemble::memory_bytes).sum()
     }
 
-    /// True if `id` is indexed on any shard.
+    /// True if `id` is indexed (on the shard that owns it).
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
-        self.shards.iter().any(|s| s.contains(id))
+        self.shards[shard_of(id, self.shards.len())].contains(id)
     }
 
-    /// Number of staged inserts across all shards.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.shards.iter().map(LshEnsemble::staged_len).sum()
+    /// The shard that owns `id`, for mutation.
+    fn owner_mut(&mut self, id: DomainId) -> &mut LshEnsemble {
+        let shard = shard_of(id, self.shards.len());
+        &mut self.shards[shard]
     }
 
-    /// Typed insert, routed by id: new domains land on shard
-    /// `id % num_shards`, so routing is deterministic regardless of
-    /// arrival order. Immediately queryable via the fan-out path.
-    ///
-    /// # Errors
-    /// [`MutationError::DuplicateId`] if *any* shard holds the id;
-    /// [`MutationError::Invalid`] on bad inputs.
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        if self.contains(id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        let shard = id as usize % self.shards.len();
-        self.shards[shard].try_insert(id, size, signature)
-    }
-
-    /// Typed removal: the owning shard is located (builder assignment is
-    /// round-robin by arrival, so routing by id alone would miss
-    /// bulk-built domains) and the id dropped from it.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if no shard holds the id.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some(shard) = self.shards.iter().position(|s| s.contains(id)) else {
-            return Err(MutationError::UnknownId(id));
-        };
-        self.shards[shard].try_remove(id)
-    }
-
-    /// Seals each shard's staged delta into a per-shard segment.
-    pub fn commit(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let mut sealed = false;
-        for shard in &mut self.shards {
-            sealed |= LshEnsemble::commit(shard);
-        }
-        // Shards retain no sketches: domains cannot migrate between shards
-        // or partitions, so boundary growth stays conservative instead.
-        let stats = self.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Seals and then folds every shard's segment stack back into its
-    /// base, erasing tombstones — the O(corpus) step, off the commit path.
-    pub fn compact(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let mut sealed = false;
-        for shard in &mut self.shards {
-            sealed |= LshEnsemble::commit(shard);
-            shard.compact();
-        }
-        CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
-            segments: 0,
-            tombstones: 0,
-        }
-    }
-
-    /// Outstanding segments/tombstones summed over the shards.
-    #[must_use]
-    pub fn segment_stats(&self) -> SegmentStats {
-        let mut out = SegmentStats::default();
-        for shard in &self.shards {
-            let s = shard.segment_stats();
-            out.segments += s.segments;
-            out.tombstones += s.tombstones;
-        }
-        out
-    }
-
-    /// The tier layout for merge planning: per-shard stacks are aligned
-    /// by position (each commit seals at most one segment on every shard,
-    /// so position `i` across shards came from the same commit epoch) and
-    /// summed elementwise into one cluster-wide stack.
-    #[must_use]
-    pub fn segment_layout(&self) -> crate::SegmentLayout {
-        let mut segments: Vec<usize> = Vec::new();
-        let mut tombstones = 0;
-        for shard in &self.shards {
-            let layout = shard.segment_layout();
-            if segments.len() < layout.segments.len() {
-                segments.resize(layout.segments.len(), 0);
-            }
-            for (slot, entries) in segments.iter_mut().zip(&layout.segments) {
-                *slot += entries;
-            }
-            tombstones += layout.tombstones;
-        }
-        crate::SegmentLayout {
-            segments,
-            tombstones,
-            len: self.len(),
-        }
-    }
-
-    /// Folds the listed segment positions on every shard (positions past
-    /// a shard's own stack are skipped there). Returns total live entries
-    /// folded across the shards.
-    pub fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
+    /// Runs one commit-shaped step on every shard and sums the reports.
+    fn each_shard(&mut self, step: fn(&mut LshEnsemble) -> CommitReport) -> CommitReport {
         self.shards
             .iter_mut()
-            .map(|s| s.merge_segments(segment_indices))
-            .sum()
+            .map(step)
+            .fold(CommitReport::default(), |sum, r| CommitReport {
+                merged: sum.merged + r.merged,
+                rebalanced: false,
+                sealed: sum.sealed || r.sealed,
+                segments: sum.segments + r.segments,
+                tombstones: sum.tombstones + r.tombstones,
+            })
     }
 
     /// Instrumented fan-out query: sorted-unique ids plus probe counters
@@ -358,8 +272,8 @@ impl ShardedEnsemble {
                 ids
             })
             .collect();
-        // Shards hold disjoint id sets (round-robin assignment), so a
-        // k-way merge of sorted vectors suffices; ids stay sorted.
+        // Shards hold disjoint id sets (one owner per id), so a k-way
+        // merge of sorted vectors suffices; ids stay sorted.
         (crate::batch::merge_sorted_disjoint(results), probe)
     }
 
@@ -461,6 +375,31 @@ impl Candidates for &ShardedEnsemble {
     }
 }
 
+impl CandidateIndex for ShardedEnsemble {
+    type Source<'a> = &'a ShardedEnsemble;
+
+    fn candidates(&self) -> &ShardedEnsemble {
+        self
+    }
+
+    fn base_partition_stats(&self) -> Vec<PartitionStats> {
+        self.shards
+            .iter()
+            .flat_map(LshEnsemble::base_partition_stats)
+            .collect()
+    }
+
+    fn rebuild(&self, ids: &[DomainId], sizes: &[u64], signatures: &[&Signature]) -> Self {
+        let config = *self.shards[0].config();
+        Self::build_from_parts(self.shards.len(), config, ids, sizes, signatures)
+    }
+}
+
+/// Every mutation goes to the shard that owns the id ([`shard_of`]), so
+/// duplicate and unknown ids are detected there; commit-shaped steps run
+/// on every shard and sum. Shards retain no sketches: domains never
+/// migrate between shards or partitions, so boundary growth stays
+/// conservative instead of rebalancing.
 impl MutableIndex for ShardedEnsemble {
     fn insert(
         &mut self,
@@ -468,84 +407,82 @@ impl MutableIndex for ShardedEnsemble {
         size: u64,
         signature: &Signature,
     ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
+        MutableIndex::insert(self.owner_mut(id), id, size, signature)
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
+        self.owner_mut(id).remove(id)
     }
 
     fn commit(&mut self) -> CommitReport {
-        ShardedEnsemble::commit(self)
+        self.each_shard(MutableIndex::commit)
     }
 
     fn staged_len(&self) -> usize {
-        ShardedEnsemble::staged_len(self)
+        self.shards.iter().map(MutableIndex::staged_len).sum()
     }
 
     fn compact(&mut self) -> CommitReport {
-        ShardedEnsemble::compact(self)
+        self.each_shard(MutableIndex::compact)
     }
 
     fn segment_stats(&self) -> SegmentStats {
-        ShardedEnsemble::segment_stats(self)
+        self.shards.iter().map(MutableIndex::segment_stats).fold(
+            SegmentStats::default(),
+            |sum, s| SegmentStats {
+                segments: sum.segments + s.segments,
+                tombstones: sum.tombstones + s.tombstones,
+            },
+        )
     }
 
+    /// The tier layout for merge planning: per-shard stacks are aligned
+    /// by position (each commit seals at most one segment on every shard,
+    /// so position `i` across shards came from the same commit epoch) and
+    /// summed elementwise into one cluster-wide stack.
     fn segment_layout(&self) -> crate::SegmentLayout {
-        ShardedEnsemble::segment_layout(self)
+        let mut segments: Vec<usize> = Vec::new();
+        let mut tombstones = 0;
+        for shard in &self.shards {
+            let layout = shard.segment_layout();
+            if segments.len() < layout.segments.len() {
+                segments.resize(layout.segments.len(), 0);
+            }
+            for (slot, entries) in segments.iter_mut().zip(&layout.segments) {
+                *slot += entries;
+            }
+            tombstones += layout.tombstones;
+        }
+        crate::SegmentLayout {
+            segments,
+            tombstones,
+            len: self.len(),
+        }
     }
 
+    /// Runs the task on every shard (segment positions past a shard's own
+    /// stack are skipped there) and sums the outcomes.
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
-            crate::MergeTask::Full => {
-                let folded = self.len();
-                ShardedEnsemble::compact(self);
-                folded
-            }
-        };
-        let stats = self.segment_stats();
-        crate::MergeOutcome {
-            entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
+        self.shards
+            .iter_mut()
+            .map(|shard| shard.apply_merge(task))
+            .fold(crate::MergeOutcome::default(), |sum, o| {
+                crate::MergeOutcome {
+                    entries_folded: sum.entries_folded + o.entries_folded,
+                    segments: sum.segments + o.segments,
+                    tombstones: sum.tombstones + o.tombstones,
+                }
+            })
     }
 }
 
 impl DomainIndex for ShardedEnsemble {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        let num_perm = self.shards[0].config().num_perm;
-        query.validate_for(num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use ShardedRanked".into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
-        Ok(outcome_from_ids(ids, probe, started))
+        crate::engine::search_unranked(&self, query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        let num_perm = self.shards[0].config().num_perm;
-        crate::batch::split_and_run(
-            queries,
-            num_perm,
-            |items| {
-                self.batch_query_counted(items)
-                    .into_iter()
-                    .map(|(ids, probe, nanos)| {
-                        crate::api::outcome_from_ids_timed(ids, probe, nanos)
-                    })
-                    .collect()
-            },
-            |_, _| {
-                Err(QueryError::Unsupported(
-                    "top-k needs retained sketches; use ShardedRanked".into(),
-                ))
-            },
-        )
+        crate::engine::search_batch_unranked(&self, queries)
     }
 
     fn len(&self) -> usize {
@@ -566,6 +503,40 @@ mod tests {
     use super::*;
     use crate::partition::PartitionStrategy;
     use lshe_minhash::MinHasher;
+
+    #[test]
+    fn sparse_ids_are_placed_by_id_not_position() {
+        let (_, es) = entries(12);
+        // Ids 0..12 without 1, 4, 7, 10: positional round-robin would
+        // drift from the modulus after the first gap.
+        let kept: Vec<_> = es.iter().filter(|e| e.0 % 3 != 1).collect();
+        let ids: Vec<DomainId> = kept.iter().map(|e| e.0).collect();
+        let sizes: Vec<u64> = kept.iter().map(|e| e.1).collect();
+        let sigs: Vec<&Signature> = kept.iter().map(|e| &e.2).collect();
+        let sharded = ShardedEnsemble::build_from_parts(2, config(), &ids, &sizes, &sigs);
+        for (s, shard) in sharded.shards().iter().enumerate() {
+            assert!(ids
+                .iter()
+                .all(|&id| shard.contains(id) == (shard_of(id, 2) == s)));
+        }
+        // Three shards: every id ≡ 1 (mod 3) is gone, so shard 1 starts
+        // empty; the other shards still answer, and shard 1 takes inserts.
+        let mut sharded = ShardedEnsemble::build_from_parts(3, config(), &ids, &sizes, &sigs);
+        assert!(sharded.shards()[1].is_empty());
+        assert_eq!(sharded.len(), ids.len());
+        for e in &kept {
+            assert!(sharded.query_with_size(&e.2, e.1, 1.0).contains(&e.0));
+        }
+        let (_, size, sig, _) = &es[4];
+        sharded
+            .insert(4, *size, sig)
+            .expect("insert into the empty shard");
+        for _ in 0..2 {
+            assert!(sharded.query_with_size(sig, *size, 1.0).contains(&4));
+            sharded.compact();
+        }
+        assert_eq!(sharded.shards()[1].len(), 1);
+    }
 
     #[allow(clippy::type_complexity)]
     fn entries(n: usize) -> (MinHasher, Vec<(DomainId, u64, Signature, Vec<u64>)>) {
@@ -663,21 +634,22 @@ mod tests {
         // Insert routes to id % num_shards.
         let vals = MinHasher::synthetic_values(999, 55);
         let sig = h.signature(vals.iter().copied());
-        sharded.try_insert(100, 55, &sig).expect("insert");
+        sharded.insert(100, 55, &sig).expect("insert");
         assert_eq!(sharded.len(), 31);
         assert!(sharded.shards()[100 % 3].contains(100));
         assert!(sharded.query_with_size(&sig, 55, 0.9).contains(&100));
         assert_eq!(
-            sharded.try_insert(100, 55, &sig),
+            sharded.insert(100, 55, &sig),
             Err(MutationError::DuplicateId(100))
         );
 
-        // Remove finds domains wherever the builder placed them (arrival
-        // round-robin, not id % shards): id 7 was the 8th add → shard 1.
-        sharded.try_remove(7).expect("remove built domain");
+        // The builder placed every domain by the same rule, so removal
+        // asks only the owning shard: id 7 lives on shard 7 % 3 = 1.
+        assert!(sharded.shards()[1].contains(7));
+        sharded.remove(7).expect("remove built domain");
         let (_, size7, sig7, _) = &es[7];
         assert!(!sharded.query_with_size(sig7, *size7, 1.0).contains(&7));
-        assert_eq!(sharded.try_remove(7), Err(MutationError::UnknownId(7)));
+        assert_eq!(sharded.remove(7), Err(MutationError::UnknownId(7)));
 
         // Commit folds the staged insert; everything stays answerable.
         assert_eq!(sharded.staged_len(), 1);

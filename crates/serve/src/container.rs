@@ -20,7 +20,7 @@
 //! are read-only — mutations are typed errors, never silent no-ops.
 
 use lshe_core::{
-    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MmapIndex, MmapIndexError,
+    route, CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MmapIndex, MmapIndexError,
     MutableIndex, MutationError, PartitionStrategy, Query, RankedIndex, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
@@ -278,8 +278,13 @@ impl IndexContainer {
     }
 
     /// Opens the stored index fanned out across `shards` query shards
-    /// (the paper's §6.3 topology). `shards <= 1` is the plain
+    /// (the paper's §6.3 topology), each domain on shard
+    /// [`shard_of`](lshe_core::shard_of)`(id, shards)`. `shards <= 1` is the plain
     /// [`open_index`](Self::open_index).
+    ///
+    /// A shard whose residue class holds no live id (after removals)
+    /// serves as an empty shard, so a served index never loses the
+    /// ability to open itself to a mutation it accepted.
     ///
     /// # Errors
     /// A message when the container stores no sketches (sharded serving
@@ -305,7 +310,7 @@ impl IndexContainer {
             ));
         }
         Ok(Box::new(ShardedRanked::build(
-            Arc::clone(ranked),
+            ranked,
             shards,
             self.shard_config(shards),
         )))
@@ -329,12 +334,13 @@ impl IndexContainer {
     ///
     /// Each output holds the routed subset of records and sketches plus a
     /// freshly built ensemble using the same per-shard configuration as
-    /// [`open_index_sharded`](Self::open_index_sharded). With the modular
-    /// placement the cluster coordinator uses (`id % num_shards`) and the
-    /// dense ids `build` assigns, every output ensemble is bit-identical
-    /// to the matching in-process shard of a `--shards num_shards` server
-    /// — so a process cluster over the split files answers exactly like
-    /// the single sharded process.
+    /// [`open_index_sharded`](Self::open_index_sharded). With the
+    /// placement every other layer uses
+    /// ([`shard_of`](lshe_core::shard_of)), every output ensemble is
+    /// bit-identical to the matching in-process shard of a
+    /// `--shards num_shards` server, whatever ids mutation left behind —
+    /// so a process cluster over the split files answers exactly like the
+    /// single sharded process.
     ///
     /// # Errors
     /// A message when the container stores no sketches, holds fewer
@@ -364,25 +370,20 @@ impl IndexContainer {
                 self.len()
             ));
         }
-        let config = self.shard_config(num_shards);
-        // Route every sketch entry; entries are sorted by id, so each
-        // shard's parallel arrays stay id-sorted like a fresh build's.
-        let mut parts: Vec<(Vec<u32>, Vec<u64>, Vec<&Signature>)> =
-            (0..num_shards).map(|_| Default::default()).collect();
-        for (id, size, sig) in ranked.sketch_entries() {
-            let s = place(id, num_shards);
-            if s >= num_shards {
-                return Err(format!(
-                    "placement routed id {id} to shard {s} of {num_shards}"
-                ));
-            }
-            parts[s].0.push(id);
-            parts[s].1.push(size);
-            parts[s].2.push(sig);
-        }
+        // Sketch entries are sorted by id, so each shard's parallel
+        // arrays stay id-sorted like a fresh build's.
+        let parts = route(ranked.sketch_entries(), num_shards, &place).map_err(|id| {
+            format!(
+                "placement routed id {id} to shard {} of {num_shards}",
+                place(id, num_shards)
+            )
+        })?;
+        // A shard file must hold domains: a cluster node cannot serve an
+        // empty container.
         if let Some(empty) = parts.iter().position(|(ids, _, _)| ids.is_empty()) {
             return Err(format!("placement leaves shard {empty} empty"));
         }
+        let config = self.shard_config(num_shards);
         Ok(parts
             .iter()
             .map(|(ids, sizes, sigs)| {
@@ -1394,6 +1395,7 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lshe_core::shard_of;
     use lshe_corpus::{Domain, DomainMeta};
 
     fn catalog(n: usize) -> Catalog {
@@ -1636,59 +1638,121 @@ mod tests {
     #[test]
     fn split_shards_are_bit_identical_to_in_process_shards() {
         let cat = catalog(12);
-        let c = IndexContainer::build(&cat, 4, true);
-        let n = 3;
-        let shards = c.split_with(n, |id, n| id as usize % n).expect("split");
-        assert_eq!(shards.len(), n);
-        assert_eq!(shards.iter().map(IndexContainer::len).sum::<usize>(), 12);
+        let fresh = IndexContainer::build(&cat, 4, true);
+        // The same corpus after a removal and a compaction: ids are no
+        // longer dense, so a positional split would drift from `id % n`.
+        let mut mutated = fresh.clone();
+        mutated.apply(&[DeltaOp::Remove { id: 1 }]).expect("remove");
+        let _ = mutated.compact_index();
+        for c in [fresh, mutated] {
+            let n = 3;
+            let shards = c.split_with(n, |id, n| id as usize % n).expect("split");
+            assert_eq!(shards.len(), n);
+            assert_eq!(
+                shards.iter().map(IndexContainer::len).sum::<usize>(),
+                c.len()
+            );
 
-        // Each split shard's ensemble is byte-for-byte the corresponding
-        // in-process shard of open_index_sharded(n): with dense ids the
-        // modular placement coincides with the round-robin the sharded
-        // build uses.
+            // Each split shard's ensemble is byte-for-byte the
+            // corresponding in-process shard of open_index_sharded(n):
+            // both place every domain on shard id % n.
+            let StoredIndex::Ranked(ranked) = &c.index else {
+                unreachable!("built ranked");
+            };
+            let inproc = ShardedRanked::build(ranked, n, c.shard_config(n));
+            for (s, sc) in shards.iter().enumerate() {
+                assert!(sc.has_ranked());
+                assert_eq!(sc.num_perm(), c.num_perm());
+                assert!(sc.records().iter().all(|r| r.id as usize % n == s));
+                assert_eq!(
+                    sc.ensemble().to_bytes_committed(),
+                    inproc.ensemble().shards()[s].to_bytes_committed(),
+                    "shard {s} ensemble drifted from the in-process build"
+                );
+                // And it survives a disk round-trip intact.
+                let restored = IndexContainer::from_bytes(&sc.to_bytes()).expect("decode");
+                assert_eq!(restored.len(), sc.len());
+                assert_eq!(
+                    restored.ensemble().to_bytes_committed(),
+                    sc.ensemble().to_bytes_committed()
+                );
+            }
+
+            // Union of per-shard answers == the sharded in-process answer,
+            // estimates and rank order included.
+            let hasher = MinHasher::new(c.num_perm());
+            let q = cat.domain(5).signature(&hasher);
+            let qsize = cat.domain(5).len() as u64;
+            let sharded = c.open_index_sharded(n).expect("sharded");
+            let want = sharded
+                .search(&Query::threshold(&q, 0.5).with_size(qsize))
+                .expect("search")
+                .into_pairs();
+            let mut got: Vec<(u32, Option<f64>)> = shards
+                .iter()
+                .flat_map(|sc| sc.search(&q, qsize, 0.5))
+                .collect();
+            got.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .expect("estimates are not NaN")
+                    .then(a.0.cmp(&b.0))
+            });
+            assert_eq!(got, want);
+            assert!(got.iter().any(|&(id, _)| id == 5));
+        }
+    }
+
+    #[test]
+    fn emptied_residue_class_serves_an_empty_shard_but_cannot_split() {
+        let cat = catalog(12);
+        let mut c = IndexContainer::build(&cat, 4, true);
         let StoredIndex::Ranked(ranked) = &c.index else {
             unreachable!("built ranked");
         };
-        let inproc = ShardedRanked::build(Arc::clone(ranked), n, c.shard_config(n));
-        for (s, sc) in shards.iter().enumerate() {
-            assert!(sc.has_ranked());
-            assert_eq!(sc.num_perm(), c.num_perm());
-            assert!(sc.records().iter().all(|r| r.id as usize % n == s));
-            assert_eq!(
-                sc.ensemble().to_bytes_committed(),
-                inproc.shards().shards()[s].to_bytes_committed(),
-                "shard {s} ensemble drifted from the in-process build"
-            );
-            // And it survives a disk round-trip intact.
-            let restored = IndexContainer::from_bytes(&sc.to_bytes()).expect("decode");
-            assert_eq!(restored.len(), sc.len());
-            assert_eq!(
-                restored.ensemble().to_bytes_committed(),
-                sc.ensemble().to_bytes_committed()
-            );
+        let mut live = ShardedRanked::build(ranked, 4, c.shard_config(4));
+        // Every id ≡ 2 (mod 4) goes, so shard 2 of 4 owns nothing.
+        let removed = [2, 6, 10];
+        c.apply(&removed.map(|id| DeltaOp::Remove { id }))
+            .expect("remove");
+        let _ = c.compact_index();
+        // A shard file cannot be empty, so the split is a typed error...
+        let err = c.split_with(4, shard_of).expect_err("shard 2 is empty");
+        assert!(err.contains("placement leaves shard 2 empty"), "{err}");
+        // ...but the container still opens sharded, and so does a live
+        // sharded index that loses those domains and rebuilds.
+        for id in removed {
+            live.remove(id).expect("remove");
         }
-
-        // Union of per-shard answers == the sharded in-process answer,
-        // estimates and rank order included.
+        live.set_rebalance_trigger(0.0);
+        assert!(live.commit().rebalanced);
+        assert!(live.ensemble().shards()[2].is_empty());
+        let opened = c.open_index_sharded(4).expect("opens with an empty shard");
         let hasher = MinHasher::new(c.num_perm());
-        let q = cat.domain(5).signature(&hasher);
-        let qsize = cat.domain(5).len() as u64;
-        let sharded = c.open_index_sharded(n).expect("sharded");
-        let want = sharded
-            .search(&Query::threshold(&q, 0.5).with_size(qsize))
-            .expect("search")
-            .into_pairs();
-        let mut got: Vec<(u32, Option<f64>)> = shards
-            .iter()
-            .flat_map(|sc| sc.search(&q, qsize, 0.5))
-            .collect();
-        got.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("estimates are not NaN")
-                .then(a.0.cmp(&b.0))
-        });
-        assert_eq!(got, want);
-        assert!(got.iter().any(|&(id, _)| id == 5));
+        let query = |id: u32| {
+            let q = cat.domain(id).signature(&hasher);
+            (q, cat.domain(id).len() as u64)
+        };
+        for id in (0..12).filter(|id| id % 4 != 2) {
+            let (q, size) = query(id);
+            for index in [&*opened, &live as &dyn DomainIndex] {
+                let out = index
+                    .search(&Query::threshold(&q, 0.9).with_size(size))
+                    .expect("search");
+                assert!(out.ids().contains(&id), "{id} lost");
+            }
+        }
+        // The empty shard takes the next id it owns, and a compaction
+        // rebuilds it like any other.
+        let (q, size) = query(2);
+        live.insert(14, size, &q).expect("insert into shard 2");
+        for _ in 0..2 {
+            let out = live
+                .search(&Query::threshold(&q, 0.9).with_size(size))
+                .expect("search");
+            assert!(out.ids().contains(&14));
+            assert!(live.compact().rebalanced);
+        }
+        assert_eq!(live.ensemble().shards()[2].len(), 1);
     }
 
     #[test]

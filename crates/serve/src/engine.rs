@@ -655,7 +655,10 @@ impl Engine {
     /// and retry; [`EngineError::Io`] when the marker cannot be appended —
     /// the commit is then abandoned whole: no snapshot swap, staged ops
     /// kept, retry on the next `/commit` (the marker append is the commit
-    /// point, so a re-issued commit is idempotent).
+    /// point, so a re-issued commit is idempotent);
+    /// [`EngineError::Config`] when the backend cannot open the result
+    /// (a `--shards N` server left with fewer than N domains) — nothing
+    /// is logged, staged ops kept.
     pub fn commit_staged(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
@@ -670,6 +673,11 @@ impl Engine {
         let report = container.commit_mutations();
         container.reserve_next_id(pending.next_id);
         let applied = pending.ops.len();
+        // Open the new generation before the batch becomes durable: a
+        // batch the backend cannot serve is refused here, not replayed
+        // into every boot.
+        let generation = self.generation.load(Ordering::SeqCst) + 1;
+        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
 
         // Durability: one marker closes the batch. Replaying the log at
         // boot re-seals the identical segment, so nothing else need touch
@@ -682,8 +690,7 @@ impl Engine {
             pending.next_id,
         )?;
 
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
+        self.generation.store(generation, Ordering::SeqCst);
         *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
         *pending = Pending {
             next_id: pending.next_id,
@@ -704,7 +711,9 @@ impl Engine {
     /// [`EngineError::Mutation`] when a staged op no longer applies (ops
     /// kept, nothing swapped); [`EngineError::Io`] when the folded base
     /// cannot be persisted — the compaction is abandoned whole: no
-    /// snapshot swap, delta log untouched, segments still queryable.
+    /// snapshot swap, delta log untouched, segments still queryable;
+    /// [`EngineError::Config`] as in [`commit_staged`](Self::commit_staged),
+    /// before anything is persisted.
     pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
@@ -717,6 +726,9 @@ impl Engine {
         let applied = pending.ops.len();
         let report = container.compact_index();
         container.reserve_next_id(pending.next_id);
+        // As in `commit_staged`: open the generation before persisting it.
+        let generation = self.generation.load(Ordering::SeqCst) + 1;
+        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
 
         // Persist the folded base, then retire the delta log: the base
         // file now embodies every logged batch. Crash between the rename
@@ -724,13 +736,12 @@ impl Engine {
         let path = self.path.read().expect("engine lock poisoned").clone();
         if let Some(path) = &path {
             let tmp = path.with_extension("lshe.tmp");
-            std::fs::write(&tmp, container.to_bytes())?;
+            std::fs::write(&tmp, snapshot.container().to_bytes())?;
             std::fs::rename(&tmp, path)?;
             DeltaLog::sidecar(path).clear()?;
         }
 
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
+        self.generation.store(generation, Ordering::SeqCst);
         *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
         *pending = Pending {
             next_id: pending.next_id,
@@ -969,6 +980,53 @@ mod tests {
         let container = IndexContainer::build(&cat, 2, true);
         let err = Engine::from_container(container, 8).unwrap_err();
         assert!(matches!(err, EngineError::Config(_)), "{err}");
+    }
+
+    #[test]
+    fn sharded_engine_outlives_an_emptied_shard_and_refuses_too_few_domains() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_shard_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        let cat = catalog(12);
+        std::fs::write(&path, IndexContainer::build(&cat, 4, true).to_bytes()).expect("write");
+        let finds = |engine: &Engine, id: u32| {
+            let snap = engine.snapshot();
+            let (sig, q) = sig_for(&cat, id, snap.container().num_perm());
+            snap.search(&sig, q, 0.7).iter().any(|&(hit, _)| hit == id)
+        };
+
+        // Every id ≡ 2 (mod 4) goes: shard 2 of 4 is left empty, and the
+        // server keeps serving through commit, restart and compaction.
+        let engine = Engine::load(&path, 4).expect("load");
+        for id in [2, 6, 10] {
+            engine.stage_remove(id).expect("stage remove");
+        }
+        engine.commit_staged().expect("commit empties shard 2");
+        assert!(finds(&engine, 5));
+        drop(engine);
+        let engine = Engine::load(&path, 4).expect("restart over the log");
+        assert_eq!(engine.snapshot().container().len(), 9);
+        assert!(finds(&engine, 5));
+        engine.compact().expect("compact");
+        drop(engine);
+        let engine = Engine::load(&path, 4).expect("restart after compact");
+        assert!(finds(&engine, 7));
+
+        // Fewer domains than shards cannot be served: the batch is refused
+        // before its commit marker is written, so the next boot is clean.
+        for id in [0, 1, 3, 4, 5, 7, 8] {
+            engine.stage_remove(id).expect("stage remove");
+        }
+        let err = engine.commit_staged().unwrap_err();
+        assert!(matches!(err, EngineError::Config(_)), "{err}");
+        assert_eq!(engine.snapshot().container().len(), 9);
+        assert_eq!(engine.staged_counts().removes, 7);
+        drop(engine);
+        let engine = Engine::load(&path, 4).expect("boot after a refused commit");
+        assert_eq!(engine.snapshot().container().len(), 9);
+        assert!(finds(&engine, 9));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

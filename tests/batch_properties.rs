@@ -68,7 +68,7 @@ fn world() -> &'static World {
         }
         forest.commit();
         let ranked = Arc::new(ranked.build());
-        let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), 3, config());
+        let sharded_ranked = ShardedRanked::build(&ranked, 3, config());
         let backends: Vec<(&'static str, Box<dyn DomainIndex>)> = vec![
             ("ensemble", Box::new(ensemble.build())),
             ("ranked", Box::new(ranked)),

@@ -113,7 +113,7 @@ fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
     }
     forest.commit();
     let ranked = Arc::new(ranked.build());
-    let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), 3, config());
+    let sharded_ranked = ShardedRanked::build(&ranked, 3, config());
     let mapped = mmap_backend(&ranked);
     vec![
         ("ensemble", Box::new(ensemble.build())),
@@ -494,7 +494,7 @@ fn mutable_backends(
     }
     let mut ranked = ranked.build();
     ranked.set_rebalance_trigger(0.0);
-    let mut sharded_ranked = ShardedRanked::build(Arc::new(ranked_for_shards.build()), 3, config());
+    let mut sharded_ranked = ShardedRanked::build(&ranked_for_shards.build(), 3, config());
     sharded_ranked.set_rebalance_trigger(0.0);
     vec![
         ("ensemble", Box::new(ensemble.build())),
@@ -705,7 +705,7 @@ fn segmented_backends(
     }
     let mut ranked = ranked.build();
     ranked.set_rebalance_trigger(f64::MAX);
-    let mut sharded_ranked = ShardedRanked::build(Arc::new(ranked_for_shards.build()), 3, config());
+    let mut sharded_ranked = ShardedRanked::build(&ranked_for_shards.build(), 3, config());
     sharded_ranked.set_rebalance_trigger(f64::MAX);
     vec![
         ("ensemble", Box::new(ensemble.build())),

@@ -3,7 +3,7 @@
 //! drifted corpus must keep answering correctly (if less precisely) until
 //! rebuilt.
 
-use lshe_core::{EnsembleConfig, LshEnsemble, PartitionStrategy};
+use lshe_core::{EnsembleConfig, LshEnsemble, MutableIndex, PartitionStrategy};
 use lshe_datagen::{generate_catalog, CorpusConfig};
 use lshe_minhash::{MinHasher, Signature};
 

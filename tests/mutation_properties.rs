@@ -24,7 +24,6 @@ use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 const NUM_PERM: usize = 64;
 
@@ -166,14 +165,14 @@ proptest! {
                     next_id += 1;
                     let size = 1 + u64::from(word / 3) % 3_000;
                     let sig = signature_for(id, size);
-                    ens.try_insert(id, size, &sig).expect("fresh insert");
-                    ranked.try_insert(id, size, &sig).expect("fresh insert");
+                    MutableIndex::insert(&mut ens, id, size, &sig).expect("fresh insert");
+                    ranked.insert(id, size, &sig).expect("fresh insert");
                     prop_assert_eq!(
-                        ens.try_insert(id, size, &sig),
+                        MutableIndex::insert(&mut ens, id, size, &sig),
                         Err(MutationError::DuplicateId(id))
                     );
                     prop_assert_eq!(
-                        ranked.try_insert(id, size, &sig),
+                        ranked.insert(id, size, &sig),
                         Err(MutationError::DuplicateId(id))
                     );
                     model.insert(id, size);
@@ -189,11 +188,11 @@ proptest! {
                     let id = live[(word as usize / 3) % live.len()];
                     // Removing a still-staged insert shrinks the backlog.
                     let was_staged = ens.staged_len();
-                    ens.try_remove(id).expect("live remove");
-                    ranked.try_remove(id).expect("live remove");
+                    ens.remove(id).expect("live remove");
+                    ranked.remove(id).expect("live remove");
                     staged -= was_staged - ens.staged_len();
-                    prop_assert_eq!(ens.try_remove(id), Err(MutationError::UnknownId(id)));
-                    prop_assert_eq!(ranked.try_remove(id), Err(MutationError::UnknownId(id)));
+                    prop_assert_eq!(ens.remove(id), Err(MutationError::UnknownId(id)));
+                    prop_assert_eq!(ranked.remove(id), Err(MutationError::UnknownId(id)));
                     let size = model.remove(&id).expect("modelled");
                     dead.push((id, size));
                 }
@@ -246,12 +245,12 @@ proptest! {
                 let id = next_id;
                 next_id += 1;
                 let size = 1 + u64::from(word) % 900;
-                ens.try_insert(id, size, &signature_for(id, size)).expect("insert");
+                MutableIndex::insert(&mut ens, id, size, &signature_for(id, size)).expect("insert");
                 model.insert(id, size);
             } else if !model.is_empty() {
                 let live: Vec<DomainId> = model.keys().copied().collect();
                 let id = live[(word as usize) % live.len()];
-                ens.try_remove(id).expect("remove");
+                ens.remove(id).expect("remove");
                 model.remove(&id);
             }
         }
@@ -371,7 +370,7 @@ fn merge_backends(
         sharded.add(*id, *size, sig.clone());
         ranked_for_shards.add(*id, *size, sig.clone());
     }
-    let sharded_ranked = ShardedRanked::build(Arc::new(ranked_for_shards.build()), 3, config(3));
+    let sharded_ranked = ShardedRanked::build(&ranked_for_shards.build(), 3, config(3));
     vec![
         ("ensemble", Box::new(ensemble.build())),
         ("ranked", Box::new(ranked.build())),
